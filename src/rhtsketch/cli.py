@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from .distance import (
     insert,
     query,
 )
-from .ensemble import build_ensemble, distortion_check, embed
+from .ensemble import SCHEMA_VERSION, build_ensemble, distortion_check, embed
 from .features import build_feature_map, default_feature_blocks, kernel_error_sweep
 from .gaussian import cosine_functional
 from .hadamard import fwht_in_place, hadamard_sign_matrix, next_pow2
@@ -36,8 +35,7 @@ from .lab import (
     lipschitz_deviation,
     test_vector_suite,
 )
-
-SCHEMA_VERSION = 1
+from .report import write_csv_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -296,12 +294,7 @@ def _emit(cfg: RunConfig, body: dict, runtime_ms: int) -> None:
         else:
             fh = sys.stdout
         try:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [repr(float(v)) if isinstance(v, float) else v for v in row]
-                )
+            write_csv_rows(fh, header, rows)
         finally:
             if cfg.output_path:
                 fh.close()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -19,7 +20,7 @@ def _parse_row(row: list[str], line_no: int) -> list[float]:
 
 
 def read_points_csv(path: str) -> np.ndarray:
-    """Load an (n, d) float matrix; a leading non-numeric row is skipped."""
+    """Load an (n, d) matrix of finite floats; a leading non-numeric row is skipped."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -30,13 +31,15 @@ def read_points_csv(path: str) -> np.ndarray:
         for line_no, row in enumerate(reader, start=1):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
-            if line_no == 1:
-                try:
-                    rows.append(_parse_row(row, line_no))
-                except CsvFormatError:
+            try:
+                values = _parse_row(row, line_no)
+            except CsvFormatError:
+                if line_no == 1:
                     continue  # header row
-                continue
-            rows.append(_parse_row(row, line_no))
+                raise
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(f"line {line_no}: non-finite cell")
+            rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     width = len(rows[0])

@@ -78,24 +78,27 @@ class QueryDetails:
     radii: np.ndarray
 
 
-def quantile(values, alpha: float) -> float:
-    """Order-statistic quantile: sorted 1-based index ceil(alpha * n), clamped.
+def quantile(values, alpha: float):
+    """Order-statistic quantile over the last axis: sorted index ceil(alpha * n).
 
-    Equivalently the smallest v such that the fraction of elements <= v is at
-    least alpha.
+    The 1-based index is clamped to [1, n]; equivalently the smallest v such
+    that the fraction of elements <= v is at least alpha.  A float for 1-D
+    input, one value per row otherwise.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if arr.size == 0:
         raise ValueError("quantile of an empty collection")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    rank = min(max(math.ceil(alpha * arr.size), 1), arr.size)
-    return float(np.partition(arr.reshape(-1), rank - 1)[rank - 1])
+    n = arr.shape[-1]
+    rank = min(max(math.ceil(alpha * n), 1), n)
+    q = np.partition(arr, rank - 1, axis=-1)[..., rank - 1]
+    return float(q) if arr.ndim == 1 else q.copy()  # not a view pinning the partition
 
 
-def psi(r: float, x):
-    """Truncated magnitude min(|x|, r); vectorized over x."""
-    if not r >= 0.0:
+def psi(r, x):
+    """Truncated magnitude min(|x|, r); vectorized over x and r."""
+    if not np.all(np.asarray(r) >= 0.0):
         raise ValueError(f"truncation radius must be >= 0, got {r}")
     return np.minimum(np.abs(x), r)
 
@@ -165,12 +168,9 @@ def query(
     diffs = np.empty((n, k), dtype=np.float64)
     for i, stored in enumerate(est.embeddings):
         np.subtract(y_sel, stored.values[indices], out=diffs[i])
-    rank = min(max(math.ceil(params.alpha * k), 1), k)
-    quantiles = np.partition(diffs, rank - 1, axis=1)[:, rank - 1]
+    quantiles = quantile(diffs, params.alpha)
     radii = np.maximum(0.0, 2.0 * math.sqrt(math.log(1.0 / params.eps)) * quantiles)
-    estimates = _SQRT_HALF_PI * np.mean(
-        np.minimum(np.abs(diffs), radii[:, None]), axis=1
-    )
+    estimates = _SQRT_HALF_PI * np.mean(psi(radii[:, None], diffs), axis=1)
     if return_details:
         return estimates, QueryDetails(indices=indices, quantiles=quantiles, radii=radii)
     return estimates

@@ -67,66 +67,53 @@ def build_ensemble(logical_d: int, m: int, seed: int) -> RhtEnsemble:
     return RhtEnsemble(dim=dim, m=m, seed=int(seed), diagonals=diagonals)
 
 
-def _check_input(ensemble: RhtEnsemble, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] != ensemble.dim.logical_d:
+def _scaled_blocks(ensemble: RhtEnsemble, zs: np.ndarray) -> np.ndarray:
+    """The (n, m, padded_d) products D^j z_i, z_i zero-padded to padded_d."""
+    zs = np.asarray(zs, dtype=np.float64)
+    if zs.ndim != 2 or zs.shape[1] != ensemble.dim.logical_d:
         raise ValueError(
-            f"expected {ensemble.dim.logical_d} entries, got shape {z.shape}"
+            f"expected {ensemble.dim.logical_d} entries per vector, got shape {zs.shape}"
         )
-    if not np.all(np.isfinite(z)):
-        raise ValueError("input vector has non-finite entries")
-    return z
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("input has non-finite entries")
+    padded = np.zeros((zs.shape[0], ensemble.dim.padded_d), dtype=np.float64)
+    padded[:, : ensemble.dim.logical_d] = zs
+    out = np.empty((zs.shape[0],) + ensemble.diagonals.shape, dtype=np.float64)
+    np.multiply(ensemble.diagonals, padded[:, None, :], out=out)
+    return out
 
 
 def embed(ensemble: RhtEnsemble, z: np.ndarray, *, serial: bool = False) -> Embedding:
     """Compute the stacked embedding of z, zero-padding to padded_d.
 
-    ``serial=True`` processes blocks one at a time instead of as one batched
-    transform; the two paths are bit-identical (the butterfly applies the
-    same elementwise operations either way) and exist so that determinism
-    under parallel scheduling stays testable.
+    This is row 0 of embed_batch.  ``serial=True`` transforms the blocks one
+    at a time instead; the two paths are bit-identical (the butterfly applies
+    the same elementwise operations either way) and both exist so that
+    determinism under parallel scheduling stays testable.
     """
-    z = _check_input(ensemble, z)
-    d = ensemble.dim.padded_d
-    padded = np.zeros(d, dtype=np.float64)
-    padded[: ensemble.dim.logical_d] = z
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError(f"expected {ensemble.dim.logical_d} entries, got shape {z.shape}")
     if serial:
-        out = np.empty((ensemble.m, d), dtype=np.float64)
-        for j in range(ensemble.m):
-            out[j] = ensemble.diagonals[j] * padded
-            fwht_in_place(out[j])
+        values = _scaled_blocks(ensemble, z[None, :])[0]
+        for block in values:
+            fwht_in_place(block)
     else:
-        out = ensemble.diagonals * padded
-        fwht_in_place(out)
-    return Embedding(values=out.reshape(-1), source_dim=ensemble.dim, m=ensemble.m)
+        values = embed_batch(ensemble, z[None, :])[0]
+    return Embedding(values=values.reshape(-1), source_dim=ensemble.dim, m=ensemble.m)
 
 
-def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, chunk: int = 256) -> np.ndarray:
+def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray) -> np.ndarray:
     """Embeddings for the rows of zs, as an (n, m * padded_d) matrix.
 
     Row i is bit-identical to embed(ensemble, zs[i]).values: the batched
-    butterfly applies the same elementwise operations per row.  ``chunk``
-    bounds the working set to chunk * m * padded_d floats.
+    butterfly applies the same elementwise operations per row.  The rows are
+    multiplied into the output and transformed there in place, so memory is
+    the n * m * padded_d output plus n * padded_d floats of padded input.
     """
-    zs = np.asarray(zs, dtype=np.float64)
-    if zs.ndim != 2 or zs.shape[1] != ensemble.dim.logical_d:
-        raise ValueError(
-            f"expected (n, {ensemble.dim.logical_d}) input, got shape {zs.shape}"
-        )
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("input vectors have non-finite entries")
-    n = zs.shape[0]
-    d = ensemble.dim.padded_d
-    out = np.empty((n, ensemble.m * d), dtype=np.float64)
-    padded = np.zeros((min(chunk, n) if n else 0, d), dtype=np.float64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = padded[: hi - lo]
-        block[:, : ensemble.dim.logical_d] = zs[lo:hi]
-        buf = ensemble.diagonals[None, :, :] * block[:, None, :]
-        fwht_in_place(buf)
-        out[lo:hi] = buf.reshape(hi - lo, -1)
-    return out
+    out = _scaled_blocks(ensemble, zs)
+    fwht_in_place(out)
+    return out.reshape(-1, ensemble.m * ensemble.dim.padded_d)
 
 
 def distortion_check(
@@ -170,6 +157,10 @@ def load_ensemble(path: str) -> RhtEnsemble:
         header = json.load(fh)
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version: {header.get('schema_version')}")
+    for name in ("logical_d", "padded_d", "m", "seed"):
+        value = header.get(name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"header field {name!r} is missing or not an integer: {value!r}")
     if next_pow2(header["logical_d"]).padded_d != header["padded_d"]:
         raise ValueError(
             f"header padded_d {header['padded_d']} inconsistent with "

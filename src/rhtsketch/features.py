@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .ensemble import RhtEnsemble, embed
+from .ensemble import RhtEnsemble, embed, embed_batch
 from .gaussian import rbf_kernel
 from .report import DeviationReport
 
@@ -48,10 +48,17 @@ def build_feature_map(ensemble: RhtEnsemble, phase_seed: int) -> FourierFeatureM
 
 
 def features(fmap: FourierFeatureMap, x: np.ndarray) -> np.ndarray:
-    """The feature vector sqrt(2/(m*padded_d)) * cos(embedding + phases)."""
+    """The feature vector sqrt(2/(m*padded_d)) * cos(embedding + phases).
+
+    For 2-D x, one feature row per row of x, from one embed_batch call.
+    """
     ens = fmap.ensemble
-    scale = np.sqrt(2.0 / (ens.m * ens.dim.padded_d))
-    return scale * np.cos(embed(ens, x).values + fmap.phases)
+    x = np.asarray(x, dtype=np.float64)
+    rows = embed_batch(ens, np.atleast_2d(x))
+    rows += fmap.phases
+    np.cos(rows, out=rows)
+    rows *= np.sqrt(2.0 / (ens.m * ens.dim.padded_d))
+    return rows if x.ndim == 2 else rows[0]
 
 
 def approx_kernel(fmap: FourierFeatureMap, x: np.ndarray, y: np.ndarray) -> float:
@@ -90,8 +97,8 @@ def kernel_error_sweep(fmap: FourierFeatureMap, points: list[np.ndarray]) -> Dev
         raise ValueError(f"need at least 2 points, got {len(points)}")
     start = time.perf_counter()
     ens = fmap.ensemble
-    rows = np.stack([features(fmap, p) for p in points])
-    pts = [np.asarray(p, dtype=np.float64) for p in points]
+    pts = np.asarray(points, dtype=np.float64)
+    rows = features(fmap, pts)
     cases = []
     for i in range(len(pts)):
         for j in range(i, len(pts)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,7 @@ def hadamard_sign_matrix(d: int) -> np.ndarray:
     """The dense d x d +-1 matrix, H[k, i] = (-1)^popcount(k & i)."""
     if d < 1 or (d & (d - 1)) != 0:
         raise ValueError(f"order must be a power of two, got {d}")
-    idx = np.arange(d, dtype=np.uint64)
-    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-    return 1.0 - 2.0 * parity.astype(np.float64)
+    return scipy.linalg.hadamard(d, dtype=np.float64)
 
 
 def naive_hadamard_apply(x: np.ndarray) -> np.ndarray:

@@ -55,7 +55,12 @@ class DeviationReport:
 
     def write_csv(self, fh) -> None:
         """Per-case rows as plot-ready CSV: case_id, deviation."""
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "deviation"])
-        for cid, dev in self.per_case:
-            writer.writerow([cid, repr(dev)])
+        write_csv_rows(fh, ["case_id", "deviation"], self.per_case)
+
+
+def write_csv_rows(fh, header: Sequence[str], rows) -> None:
+    """A header row, then the rows; floats are written as repr(float(v))."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

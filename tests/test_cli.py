@@ -157,6 +157,14 @@ def test_ragged_csv_is_format_error(capsys, tmp_path):
     assert "CSV" in capsys.readouterr().err
 
 
+def test_non_finite_csv_cell_is_format_error(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3,nan\n")
+    code = run(["distest", "--input", str(bad), "--query", str(bad), "--m", "4"])
+    assert code == EXIT_BAD_CSV
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_missing_file_is_format_error(capsys, tmp_path):
     q = write_csv(tmp_path / "q.csv", [[1.0, 0.0]])
     code = run(["distest", "--input", str(tmp_path / "nope.csv"), "--query", q])

@@ -33,6 +33,14 @@ def test_non_numeric_data_row_rejected(tmp_path):
         read_points_csv(str(path))
 
 
+def test_non_finite_cells_rejected_with_line_number(tmp_path):
+    path = tmp_path / "pts.csv"
+    for cell in ("nan", "inf", "-inf"):
+        path.write_text(f"1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(CsvFormatError, match="line 2"):
+            read_points_csv(str(path))
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("")

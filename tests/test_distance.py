@@ -83,6 +83,15 @@ def test_psi():
         psi(np.nan, 1.0)
 
 
+def test_quantile_and_psi_vectorize_over_rows():
+    rows = np.array([[4.0, 1.0, 3.0, 2.0], [-1.0, 8.0, 0.5, 7.0]])
+    assert_array_equal(quantile(rows, 0.5), [quantile(r, 0.5) for r in rows])
+    radii = np.array([[1.5], [2.0]])
+    assert_array_equal(psi(radii, rows), [[1.5, 1.0, 1.5, 1.5], [1.0, 2.0, 0.5, 2.0]])
+    with pytest.raises(ValueError):
+        psi(np.array([1.0, -0.1]), 1.0)
+
+
 # --- defaults / params ----------------------------------------------------
 
 def test_default_counts():

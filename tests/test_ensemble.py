@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -116,11 +118,36 @@ def test_embed_serial_matches_batched_bit_exactly():
 
 
 def test_embed_batch_matches_embed_bit_exactly():
-    ens = build_ensemble(10, 5, 7)
-    zs = np.stack([streams.gaussian_block(7, streams.VECTOR, i, 10) for i in range(9)])
-    batch = embed_batch(ens, zs, chunk=4)
-    for i in range(9):
-        assert_array_equal(batch[i], embed(ens, zs[i]).values)
+    # rows of embed_batch, embed and embed(serial=True) agree bit for bit,
+    # signed zeros included
+    for d in (1, 10, 20, 64):
+        ens = build_ensemble(d, 5, 7)
+        for n in (0, 1, 9):
+            zs = np.zeros((n, d))  # row 0 stays the zero vector
+            for i in range(1, n):
+                zs[i] = streams.gaussian_block(7, streams.VECTOR, i, d)
+            batch = embed_batch(ens, zs)
+            assert batch.shape == (n, 5 * ens.dim.padded_d)
+            for i in range(n):
+                for serial in (False, True):
+                    row = embed(ens, zs[i], serial=serial).values
+                    assert_array_equal(batch[i], row)
+                    assert_array_equal(np.signbit(batch[i]), np.signbit(row))
+
+
+def test_embed_batch_peak_memory_is_output_plus_padded_input():
+    # no full-size temporary beside the output: tracemalloc's peak stays
+    # within the output, the n x padded_d padded copy of the input and 1 MiB
+    ens = build_ensemble(50, 256, 0)
+    zs = np.stack([streams.gaussian_block(0, streams.VECTOR, i, 50) for i in range(32)])
+    tracemalloc.start()
+    try:
+        out = embed_batch(ens, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 32 * 256 * 64 * 8
+    assert peak <= out.nbytes + 32 * 64 * 8 + (1 << 20)
 
 
 def test_embed_rejects_bad_input():
@@ -183,3 +210,12 @@ def test_persistence_rejects_corrupt_header(tmp_path):
         fh.write('{"schema_version": 1, "logical_d": 5, "padded_d": 4, "m": 1, "seed": 0}')
     with pytest.raises(ValueError, match="inconsistent"):
         load_ensemble(path2)
+    for bad, field in (
+        ('"logical_d": 4, "padded_d": 4, "m": "3", "seed": 0', "'m'"),
+        ('"logical_d": 4, "padded_d": 4, "m": 1', "'seed'"),
+        ('"logical_d": 4.0, "padded_d": 4, "m": 1, "seed": 0', "'logical_d'"),
+    ):
+        with open(path, "w") as fh:
+            fh.write('{"schema_version": 1, ' + bad + "}")
+        with pytest.raises(ValueError, match=field):
+            load_ensemble(path)
