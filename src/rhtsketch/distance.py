@@ -96,11 +96,11 @@ def quantile(values, alpha: float):
     return float(q) if arr.ndim == 1 else q.copy()  # not a view pinning the partition
 
 
-def psi(r, x):
-    """Truncated magnitude min(|x|, r); vectorized over x and r."""
+def psi(r, x, out=None):
+    """Truncated magnitude min(|x|, r), vectorized; ``out=x`` works in place."""
     if not np.all(np.asarray(r) >= 0.0):
         raise ValueError(f"truncation radius must be >= 0, got {r}")
-    return np.minimum(np.abs(x), r)
+    return np.minimum(np.abs(x, out=out), r, out=out)
 
 
 def default_block_count(logical_d: int, eps: float, delta: float) -> int:
@@ -170,7 +170,7 @@ def query(
         np.subtract(y_sel, stored.values[indices], out=diffs[i])
     quantiles = quantile(diffs, params.alpha)
     radii = np.maximum(0.0, 2.0 * math.sqrt(math.log(1.0 / params.eps)) * quantiles)
-    estimates = _SQRT_HALF_PI * np.mean(psi(radii[:, None], diffs), axis=1)
+    estimates = _SQRT_HALF_PI * np.mean(psi(radii[:, None], diffs, out=diffs), axis=1)
     if return_details:
         return estimates, QueryDetails(indices=indices, quantiles=quantiles, radii=radii)
     return estimates

@@ -60,9 +60,9 @@ def build_ensemble(logical_d: int, m: int, seed: int) -> RhtEnsemble:
     total = m * dim.padded_d
     if total > np.iinfo(np.intp).max // 8:
         raise ValueError(f"m * padded_d = {total} overflows addressable size")
-    diagonals = np.empty((m, dim.padded_d), dtype=np.float64)
-    for j in range(m):
-        diagonals[j] = streams.gaussian_block(seed, streams.DIAGONAL, j, dim.padded_d)
+    diagonals = streams.stream_rows(
+        seed, streams.DIAGONAL, m, dim.padded_d, np.random.Generator.standard_normal
+    )
     diagonals.setflags(write=False)
     return RhtEnsemble(dim=dim, m=m, seed=int(seed), diagonals=diagonals)
 
@@ -109,7 +109,8 @@ def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray) -> np.ndarray:
     Row i is bit-identical to embed(ensemble, zs[i]).values: the batched
     butterfly applies the same elementwise operations per row.  The rows are
     multiplied into the output and transformed there in place, so memory is
-    the n * m * padded_d output plus n * padded_d floats of padded input.
+    the n * m * padded_d output plus n * padded_d floats of padded input
+    plus the butterfly's one 128 KiB tile.
     """
     out = _scaled_blocks(ensemble, zs)
     fwht_in_place(out)
@@ -132,8 +133,9 @@ def distortion_check(
         gap = np.linalg.norm(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
         if gap == 0.0:
             raise ValueError("coincident pair: distortion is undefined")
-        emb_gap = np.linalg.norm(embed(ensemble, x).values - embed(ensemble, y).values)
-        worst = max(worst, abs(emb_gap / (scale * gap) - 1.0))
+        emb_diff = embed(ensemble, x).values
+        emb_diff -= embed(ensemble, y).values
+        worst = max(worst, abs(np.linalg.norm(emb_diff) / (scale * gap) - 1.0))
     return float(worst)
 
 

@@ -37,10 +37,10 @@ def build_feature_map(ensemble: RhtEnsemble, phase_seed: int) -> FourierFeatureM
     seed value, so phases and diagonals never share randomness.
     """
     d = ensemble.dim.padded_d
-    phases = np.empty((ensemble.m, d), dtype=np.float64)
-    for j in range(ensemble.m):
-        phases[j] = streams.uniform_angles(phase_seed, streams.PHASE, j, d)
-    phases = phases.reshape(-1)
+    phases = streams.stream_rows(
+        phase_seed, streams.PHASE, ensemble.m, d, np.random.Generator.random
+    ).reshape(-1)
+    phases *= 2.0 * np.pi  # as streams.uniform_angles scales each row
     phases.setflags(write=False)
     return FourierFeatureMap(
         ensemble=ensemble, phases=phases, phase_seed=int(phase_seed)

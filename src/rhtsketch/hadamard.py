@@ -36,6 +36,10 @@ def next_pow2(logical_d: int) -> HadamardDim:
     return HadamardDim(logical_d=int(logical_d), padded_d=padded)
 
 
+# One scratch tile per call: 128 KiB stays in cache and leaves peak RSS flat.
+_TILE_BYTES = 128 << 10
+
+
 def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     """Apply the transform along the last axis of ``buffer``, in place.
 
@@ -43,7 +47,10 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     (the butterfly works on reshaped views).  Integer-valued inputs transform
     exactly: every butterfly step is an add, a multiply by -2, and an add,
     all of which are exact in float64 until entries approach 2**53.
-    Returns ``buffer``.
+    Stages h < c run on runs of c entries copied, transposed, into one tile
+    of at most 128 KiB, the rest on the buffer; c = min(n, 256), halved
+    while the buffer holds fewer than c / 4 runs.  Each element sees the same
+    operations in the same order either way.  Returns ``buffer``.
     """
     if not isinstance(buffer, np.ndarray):
         raise TypeError("fwht_in_place needs an ndarray to mutate")
@@ -52,17 +59,39 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
         raise ValueError(f"last axis length must be a power of two, got {n}")
     if not buffer.flags.c_contiguous:
         raise ValueError("buffer must be C-contiguous for in-place transform")
-    h = 1
-    while h < n:
-        view = buffer.reshape(buffer.shape[:-1] + (n // (2 * h), 2, h))
-        top = view[..., 0, :]
-        bot = view[..., 1, :]
+    c = min(n, 256)
+    while c * c > 4 * buffer.size and c > 1:  # keep >= c / 4 runs per tile
+        c //= 2
+    runs = buffer.reshape(-1, c)
+    cols = max(1, min(len(runs), _TILE_BYTES // (c * buffer.itemsize)))
+    scratch = np.empty(c * cols, dtype=buffer.dtype)
+    # numpy would copy the strided halves through up to 192 KiB of iterator
+    # buffers, slower than the adds; no operand needs a cast, so go direct.
+    bufsize = np.setbufsize(16)
+    try:
+        for start in range(0, len(runs), cols):
+            block = runs[start : start + cols]
+            tile = scratch[: block.size].reshape(c, len(block))
+            np.copyto(tile, block.T)
+            _butterfly(tile, len(block), 1, c)
+            np.copyto(block, tile.T)
+        _butterfly(buffer, 1, c, n)
+    finally:
+        np.setbufsize(bufsize)
+    return buffer
+
+
+def _butterfly(array: np.ndarray, unit: int, h: int, stop: int) -> None:
+    """Stages h, 2h, ... < stop, each pairing slabs of h * unit entries."""
+    while h < stop:
+        view = array.reshape(-1, 2, h * unit)
+        top = view[:, 0]
+        bot = view[:, 1]
         # (top, bot) <- (top + bot, top - bot) without a temporary:
         top += bot
         bot *= -2
         bot += top
         h *= 2
-    return buffer
 
 
 def hadamard_sign_matrix(d: int) -> np.ndarray:

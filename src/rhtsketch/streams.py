@@ -41,6 +41,23 @@ def generator(seed: int, purpose: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def stream_rows(seed: int, purpose: int, count: int, n: int, draw) -> np.ndarray:
+    """A (count, n) array whose row j is draw(generator(seed, purpose, j), n).
+
+    Rather than building a generator per row, one Philox is given row j's
+    full fresh state (zero counter and buffer, row j's key) before each draw.
+    ``draw`` is e.g. ``np.random.Generator.standard_normal``.
+    """
+    gen = generator(seed, purpose, max(count - 1, 0))  # checks the largest index
+    fresh = gen.bit_generator.state
+    out = np.empty((count, n), dtype=np.float64)
+    for j in range(count):
+        fresh["state"]["key"][1] = (purpose << _INDEX_BITS) | j
+        gen.bit_generator.state = fresh
+        out[j] = draw(gen, n)
+    return out
+
+
 def gaussian_block(seed: int, purpose: int, index: int, n: int) -> np.ndarray:
     """n i.i.d. standard normal variates from stream (seed, purpose, index)."""
     return generator(seed, purpose, index).standard_normal(n)

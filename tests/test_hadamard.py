@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from rhtsketch import hadamard
 from rhtsketch.hadamard import (
     HadamardDim,
     fwht_in_place,
@@ -88,6 +92,60 @@ def test_fwht_linear(log_d, seed):
     lhs = fwht_in_place(3.0 * x + y)
     rhs = 3.0 * fwht_in_place(x.copy()) + fwht_in_place(y.copy())
     assert_array_equal(lhs, rhs)
+
+
+def reference_butterfly(row):
+    """The untiled butterfly on one row: stage h pairs entries i and i + h."""
+    row = row.copy()
+    n = row.shape[0]
+    h = 1
+    while h < n:
+        view = row.reshape(n // (2 * h), 2, h)
+        top = view[:, 0]
+        bot = view[:, 1]
+        top += bot
+        bot *= -2
+        bot += top
+        h *= 2
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([8, 64, 1000, 4096, 1 << 15, hadamard._TILE_BYTES]),
+    st.sampled_from([(), (0,), (1,), (3,), (10,), (2, 3)]),
+    st.integers(0, 14),
+    st.integers(0, 2**31),
+)
+def test_tiled_fwht_bit_identical_to_per_row_butterfly(tile_bytes, lead, log_d, seed):
+    d = 1 << log_d
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(lead + (d,))
+    x.reshape(-1, d)[::2, 0] = -0.0  # signed zeros must survive too
+    ints = rng.integers(-(1 << 20), 1 << 20, size=lead + (d,))
+    with mock.patch.object(hadamard, "_TILE_BYTES", tile_bytes):
+        out = fwht_in_place(x.copy())
+        out_ints = fwht_in_place(ints.astype(np.float64))
+    ref = np.array([reference_butterfly(r) for r in x.reshape(-1, d)]).reshape(x.shape)
+    assert_array_equal(out, ref)
+    assert_array_equal(np.signbit(out), np.signbit(ref))
+    # integer exactness: the float transform equals int64 arithmetic
+    exact = np.array([reference_butterfly(r) for r in ints.reshape(-1, d)])
+    assert_array_equal(out_ints, exact.reshape(ints.shape).astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(40, 100, 64), (8, 16, 256), (2, 65536), (3000, 32)])
+def test_fwht_peak_memory_is_one_tile(shape):
+    buf = np.random.default_rng(0).standard_normal(shape)
+    bufsize = np.getbufsize()
+    tracemalloc.start()
+    try:
+        fwht_in_place(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= hadamard._TILE_BYTES + (64 << 10)
+    assert np.getbufsize() == bufsize
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 12, 100])

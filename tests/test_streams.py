@@ -59,6 +59,29 @@ def test_derive_seed_deterministic_and_in_range():
     assert s1 != streams.derive_seed(11, streams.QUERY, 6)
 
 
+@pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 5])
+def test_stream_rows_match_per_row_streams(seed):
+    normal = streams.stream_rows(seed, streams.DIAGONAL, 5, 33, np.random.Generator.standard_normal)
+    angles = streams.stream_rows(seed, streams.PHASE, 5, 33, np.random.Generator.random)
+    angles *= 2.0 * np.pi
+    assert normal.shape == angles.shape == (5, 33)
+    for j in range(5):
+        assert_array_equal(normal[j], streams.gaussian_block(seed, streams.DIAGONAL, j, 33))
+        assert_array_equal(angles[j], streams.uniform_angles(seed, streams.PHASE, j, 33))
+    # a row does not depend on the rows drawn before it
+    assert_array_equal(
+        streams.stream_rows(seed, streams.DIAGONAL, 1, 33, np.random.Generator.standard_normal)[0],
+        normal[0],
+    )
+
+
+def test_stream_rows_rejects_out_of_range_index_and_purpose():
+    with pytest.raises(ValueError, match="index"):
+        streams.stream_rows(0, streams.DIAGONAL, (1 << 56) + 1, 0, np.random.Generator.random)
+    with pytest.raises(ValueError, match="purpose"):
+        streams.stream_rows(0, 256, 2, 4, np.random.Generator.random)
+
+
 def test_rejects_out_of_range_index_and_purpose():
     with pytest.raises(ValueError, match="index"):
         streams.generator(0, streams.DIAGONAL, 1 << 56)
