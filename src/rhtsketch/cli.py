@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from .features import build_feature_map, default_feature_blocks, kernel_error_sw
 from .gaussian import cosine_functional
 from .hadamard import fwht_in_place, hadamard_sign_matrix, next_pow2
 from .lab import (
+    ball_points,
     basis_max_experiment,
     default_t_grid,
     ecdf_deviation,
@@ -107,12 +109,7 @@ def _median_ms(fn, reps: int) -> float:
     return 1000.0 * float(np.median(times))
 
 
-def _unit_vector(seed: int, index: int, d: int) -> np.ndarray:
-    g = streams.gaussian_block(seed, streams.VECTOR, index, d)
-    return g / np.linalg.norm(g)
-
-
-def _run_bench(cfg: RunConfig) -> dict:
+def _run_bench(cfg: RunConfig) -> tuple[dict, list[str], list]:
     sizes = []
     size = 8
     top = next_pow2(cfg.d).padded_d
@@ -121,10 +118,11 @@ def _run_bench(cfg: RunConfig) -> dict:
         size *= 2
     if not sizes:
         sizes = [top]
+    header = ["d", "fwht_ms", "embed_ms", "naive_ms", "speedup_embed_vs_naive"]
     rows = []
     for d in sizes:
         ens = build_ensemble(d, cfg.m, cfg.seed)
-        z = _unit_vector(cfg.seed, 0, d)
+        z = streams.unit_vector(cfg.seed, 0, d)
         dv = ens.diagonals[0] * z
         buf = np.empty_like(dv)
 
@@ -140,19 +138,11 @@ def _run_bench(cfg: RunConfig) -> dict:
             h = hadamard_sign_matrix(d)
             naive_ms = _median_ms(lambda: h @ dv, reps=9)
             speedup = naive_ms / embed_ms
-        rows.append(
-            {
-                "d": d,
-                "fwht_ms": fwht_ms,
-                "embed_ms": embed_ms,
-                "naive_ms": naive_ms,
-                "speedup_embed_vs_naive": speedup,
-            }
-        )
-    return {"timings": rows}
+        rows.append([d, fwht_ms, embed_ms, naive_ms, speedup])
+    return {"timings": [dict(zip(header, row)) for row in rows]}, header, rows
 
 
-def _run_verify(cfg: RunConfig) -> dict:
+def _run_verify(cfg: RunConfig) -> tuple[dict, list[str], list]:
     ensemble = build_ensemble(cfg.d, cfg.m, cfg.seed)
     suite = test_vector_suite(cfg.d, cfg.n_random, cfg.seed)
     lip = lipschitz_deviation(ensemble, cosine_functional(), suite)
@@ -162,36 +152,32 @@ def _run_verify(cfg: RunConfig) -> dict:
     ecdf_basis = ecdf_deviation(ensemble, by_label["basis"], grid)
     pairs = [
         (
-            _unit_vector(cfg.seed, _PAIR_STREAM_BASE + 2 * p, cfg.d),
-            _unit_vector(cfg.seed, _PAIR_STREAM_BASE + 2 * p + 1, cfg.d),
+            streams.unit_vector(cfg.seed, _PAIR_STREAM_BASE + 2 * p, cfg.d),
+            streams.unit_vector(cfg.seed, _PAIR_STREAM_BASE + 2 * p + 1, cfg.d),
         )
         for p in range(cfg.pairs)
     ]
     distortion = distortion_check(ensemble, pairs)
     max_deviation = max(lip.max_deviation, ecdf_flat, ecdf_basis, distortion)
-    return {
+    body = {
         "lipschitz": lip.to_dict(),
         "ecdf": {"flat": ecdf_flat, "basis": ecdf_basis},
         "distortion_max": distortion,
         "max_deviation": max_deviation,
     }
+    rows = lip.per_case + [
+        ("ecdf_flat", ecdf_flat),
+        ("ecdf_basis", ecdf_basis),
+        ("distortion_max", distortion),
+    ]
+    return body, ["case_id", "deviation"], rows
 
 
-def _ball_points(n: int, d: int, seed: int) -> np.ndarray:
-    pts = np.empty((n, d))
-    for i in range(n):
-        rng = streams.generator(seed, streams.VECTOR, i)
-        g = rng.standard_normal(d)
-        radius = rng.random() ** (1.0 / d)
-        pts[i] = radius * g / np.linalg.norm(g)
-    return pts
-
-
-def _run_kernel(cfg: RunConfig) -> dict:
+def _run_kernel(cfg: RunConfig) -> tuple[dict, list[str], list]:
     if cfg.input_path is not None:
         pts = read_points_csv(cfg.input_path)
     else:
-        pts = _ball_points(cfg.n, cfg.d, cfg.seed)
+        pts = ball_points(cfg.n, cfg.d, cfg.seed)
     n, d = pts.shape
     m = cfg.m
     if m is None:
@@ -201,10 +187,11 @@ def _run_kernel(cfg: RunConfig) -> dict:
         m = default_feature_blocks(cfg.eps, cfg.delta, diam)
     fmap = build_feature_map(build_ensemble(d, m, cfg.seed), cfg.seed)
     sweep = kernel_error_sweep(fmap, list(pts))
-    return {"kernel_sweep": sweep.to_dict(), "max_deviation": sweep.max_deviation}
+    body = {"kernel_sweep": sweep.to_dict(), "max_deviation": sweep.max_deviation}
+    return body, ["case_id", "deviation"], sweep.per_case
 
 
-def _run_distest(cfg: RunConfig) -> dict:
+def _run_distest(cfg: RunConfig) -> tuple[dict, list[str], list]:
     pts = read_points_csv(cfg.input_path)
     queries = read_points_csv(cfg.query_path)
     if queries.shape[1] != pts.shape[1]:
@@ -216,7 +203,7 @@ def _run_distest(cfg: RunConfig) -> dict:
     est = build_estimator(d, m, cfg.seed)
     for row in pts:
         insert(est, row)
-    results = []
+    results, rows = [], []
     for qi, qrow in enumerate(queries):
         params = QueryParams(
             eps=cfg.eps,
@@ -224,8 +211,9 @@ def _run_distest(cfg: RunConfig) -> dict:
             k=cfg.k,
             query_seed=streams.derive_seed(cfg.seed, streams.QUERY, qi),
         )
-        estimates = query(est, qrow, params)
-        results.append({"query_index": qi, "estimates": estimates.tolist()})
+        estimates = query(est, qrow, params).tolist()
+        results.append({"query_index": qi, "estimates": estimates})
+        rows += [[qi, pi, value] for pi, value in enumerate(estimates)]
     out: dict = {"queries": results, "n": est.n, "m": m}
     if cfg.stress_rounds:
         stress = adaptive_stress(
@@ -238,79 +226,25 @@ def _run_distest(cfg: RunConfig) -> dict:
         )
         out["stress"] = stress.to_dict()
         out["max_deviation"] = stress.max_deviation
-    return out
+    return out, ["query_index", "point_index", "estimate"], rows
 
 
-def _run_lowerbound(cfg: RunConfig) -> dict:
+def _run_lowerbound(cfg: RunConfig) -> tuple[dict, list[str], list]:
     basis = basis_max_experiment(cfg.d, cfg.m, cfg.trials, cfg.seed)
     n = math.ceil((2.0 * cfg.eps) ** -2 * cfg.d)
     baseline = gaussian_baseline_max(n, cfg.d, cfg.trials, cfg.seed)
     frac = float(np.mean(np.asarray(baseline["per_trial"]) >= cfg.eps))
-    return {
+    body = {
         "basis_max": basis,
         "baseline": baseline,
         "baseline_n": n,
         "fraction_baseline_ge_eps": frac,
     }
-
-
-def _rows_for_csv(cfg: RunConfig, body: dict) -> tuple[list[str], list[list]]:
-    if cfg.command == "bench":
-        header = ["d", "fwht_ms", "embed_ms", "naive_ms", "speedup_embed_vs_naive"]
-        return header, [[row[h] for h in header] for row in body["timings"]]
-    if cfg.command == "verify":
-        rows = [[cid, dev] for cid, dev in body["lipschitz"]["per_case"]]
-        rows += [
-            ["ecdf_flat", body["ecdf"]["flat"]],
-            ["ecdf_basis", body["ecdf"]["basis"]],
-            ["distortion_max", body["distortion_max"]],
-        ]
-        return ["case_id", "deviation"], rows
-    if cfg.command == "kernel":
-        return ["case_id", "deviation"], [
-            [cid, dev] for cid, dev in body["kernel_sweep"]["per_case"]
-        ]
-    if cfg.command == "distest":
-        rows = []
-        for entry in body["queries"]:
-            for pi, value in enumerate(entry["estimates"]):
-                rows.append([entry["query_index"], pi, value])
-        return ["query_index", "point_index", "estimate"], rows
-    header = ["trial", "basis_max", "baseline_norm"]
     rows = [
         [t, bm, bn]
-        for t, (bm, bn) in enumerate(
-            zip(body["basis_max"]["per_trial"], body["baseline"]["per_trial"])
-        )
+        for t, (bm, bn) in enumerate(zip(basis["per_trial"], baseline["per_trial"]))
     ]
-    return header, rows
-
-
-def _emit(cfg: RunConfig, body: dict, runtime_ms: int) -> None:
-    if cfg.format == "csv":
-        header, rows = _rows_for_csv(cfg, body)
-        if cfg.output_path:
-            fh = open(cfg.output_path, "w", encoding="utf-8", newline="")
-        else:
-            fh = sys.stdout
-        try:
-            write_csv_rows(fh, header, rows)
-        finally:
-            if cfg.output_path:
-                fh.close()
-        return
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "runtime_ms": runtime_ms,
-    }
-    report.update(body)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as out:
-            out.write(text)
-    else:
-        sys.stdout.write(text)
+    return body, ["trial", "basis_max", "baseline_norm"], rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,6 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The command table; each handler returns (JSON body, CSV header, CSV rows).
 _HANDLERS = {
     "bench": _run_bench,
     "verify": _run_verify,
@@ -402,7 +337,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         _check_range(cfg)
-        body = _HANDLERS[cfg.command](cfg)
+        body, header, rows = _HANDLERS[cfg.command](cfg)
     except CsvFormatError as exc:
         print(f"rhtsketch: CSV error: {exc}", file=sys.stderr)
         return EXIT_BAD_CSV
@@ -410,7 +345,23 @@ def run(argv: Optional[list[str]] = None) -> int:
         print(f"rhtsketch: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     runtime_ms = int(1000 * (time.perf_counter() - start))
-    _emit(cfg, body, runtime_ms)
+    if cfg.format == "csv":
+        buf = io.StringIO()
+        write_csv_rows(buf, header, rows)
+        text = buf.getvalue()
+    else:
+        report = {"schema_version": SCHEMA_VERSION, "config": asdict(cfg),
+                  "runtime_ms": runtime_ms, **body}
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if not cfg.output_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(cfg.output_path, "w", encoding="utf-8", newline="") as out:
+            out.write(text)
+    except OSError as exc:
+        print(f"rhtsketch: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

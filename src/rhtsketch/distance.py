@@ -83,10 +83,10 @@ def quantile(values, alpha: float):
 
     The 1-based index is clamped to [1, n]; equivalently the smallest v such
     that the fraction of elements <= v is at least alpha.  A float for 1-D
-    input, one value per row otherwise.
+    input, one value per row otherwise (an empty array for zero rows).
     """
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if arr.size == 0:
+    if arr.shape[-1] == 0:
         raise ValueError("quantile of an empty collection")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -150,16 +150,6 @@ def query(
     """
     y = embed(est.ensemble, q).values
     n = est.n
-    if n == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        if return_details:
-            details = QueryDetails(
-                indices=np.zeros(0, dtype=np.int64),
-                quantiles=empty,
-                radii=empty.copy(),
-            )
-            return empty.copy(), details
-        return empty
     k = params.k if params.k is not None else default_sample_count(n, params.eps, params.delta)
     total = y.shape[0]
     rng = streams.generator(params.query_seed, streams.QUERY, 0)
@@ -223,8 +213,7 @@ def adaptive_stress(
             q = np.zeros(d, dtype=np.float64)
             q[t % d] = 1.0 + t // d
         elif q is None:
-            g = streams.gaussian_block(seed, streams.VECTOR, t, d)
-            q = g / np.linalg.norm(g)
+            q = streams.unit_vector(seed, t, d)
         else:
             step = q - points[worst_idx]
             norm = np.linalg.norm(step)

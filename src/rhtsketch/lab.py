@@ -63,13 +63,22 @@ def test_vector_suite(logical_d: int, n_random: int, seed: int) -> TestVectorSui
         level += 1
 
     for i in range(n_random):
-        g = streams.gaussian_block(seed, streams.VECTOR, i, logical_d)
-        vectors.append(g / np.linalg.norm(g))
+        vectors.append(streams.unit_vector(seed, i, logical_d))
         labels.append(f"random_{i}")
 
     for v in vectors:
         v.setflags(write=False)
     return TestVectorSuite(labels=tuple(labels), vectors=tuple(vectors))
+
+
+def ball_points(n: int, d: int, seed: int) -> np.ndarray:
+    """n points uniform in the unit d-ball; row i comes from stream (seed, VECTOR, i)."""
+    pts = np.empty((n, d))
+    for i in range(n):
+        rng = streams.generator(seed, streams.VECTOR, i)
+        g = rng.standard_normal(d)
+        pts[i] = rng.random() ** (1.0 / d) * g / np.linalg.norm(g)
+    return pts
 
 
 def lipschitz_deviation(

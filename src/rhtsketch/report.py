@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,13 +48,6 @@ class DeviationReport:
             "max_deviation": self.max_deviation,
             "runtime_ms": self.runtime_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def write_csv(self, fh) -> None:
-        """Per-case rows as plot-ready CSV: case_id, deviation."""
-        write_csv_rows(fh, ["case_id", "deviation"], self.per_case)
 
 
 def write_csv_rows(fh, header: Sequence[str], rows) -> None:

@@ -63,6 +63,12 @@ def gaussian_block(seed: int, purpose: int, index: int, n: int) -> np.ndarray:
     return generator(seed, purpose, index).standard_normal(n)
 
 
+def unit_vector(seed: int, index: int, n: int) -> np.ndarray:
+    """gaussian_block(seed, VECTOR, index, n) scaled to unit norm."""
+    g = gaussian_block(seed, VECTOR, index, n)
+    return g / np.linalg.norm(g)
+
+
 def uniform_angles(seed: int, purpose: int, index: int, n: int) -> np.ndarray:
     """n i.i.d. variates uniform on [0, 2*pi) from the given stream."""
     # random() < 1, and (1 - 2**-53) * 2*pi still rounds below 2*pi, so the

@@ -37,6 +37,7 @@ from rhtsketch.features import (
 from rhtsketch.gaussian import cosine_functional, gaussian_expectation
 from rhtsketch.hadamard import fwht_in_place, naive_hadamard_apply
 from rhtsketch.lab import (
+    ball_points,
     basis_max_experiment,
     default_t_grid,
     ecdf_deviation,
@@ -50,20 +51,6 @@ def report(capsys, number, name, ok, detail):
     with capsys.disabled():
         print(f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({name}): {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
-
-
-def unit_vector(index, d, seed=SEED):
-    g = streams.gaussian_block(seed, streams.VECTOR, index, d)
-    return g / np.linalg.norm(g)
-
-
-def ball_points(n, d, seed=SEED):
-    pts = np.empty((n, d))
-    for i in range(n):
-        rng = streams.generator(seed, streams.VECTOR, i)
-        g = rng.standard_normal(d)
-        pts[i] = (rng.random() ** (1.0 / d)) * g / np.linalg.norm(g)
-    return pts
 
 
 def test_criterion_1_fwht_correctness(capsys):
@@ -110,7 +97,10 @@ def test_criterion_2_embedding_distortion(capsys):
     ens = build_ensemble(d, m, SEED)
     base = 1 << 20
     pairs = [
-        (unit_vector(base + 2 * p, d), unit_vector(base + 2 * p + 1, d))
+        (
+            streams.unit_vector(SEED, base + 2 * p, d),
+            streams.unit_vector(SEED, base + 2 * p + 1, d),
+        )
         for p in range(100)
     ]
     worst = distortion_check(ens, pairs)
@@ -139,7 +129,7 @@ def test_criterion_4_kernel_approximation(capsys):
     budget = 30.0  # seconds
     start = time.perf_counter()
     d, m, n = 64, 2000, 50
-    pts = ball_points(n, d)
+    pts = ball_points(n, d, SEED)
     fmap = build_feature_map(build_ensemble(d, m, SEED), SEED)
     sweep = kernel_error_sweep(fmap, list(pts))
     kernel_worst = sweep.max_deviation
@@ -192,7 +182,7 @@ def test_criterion_5_distance_estimation(capsys):
     start = time.perf_counter()
     d, n, eps, delta = 128, 100, 0.1, 0.01
     m = default_block_count(d, eps, delta)
-    pts = np.stack([unit_vector(i, d) for i in range(n)])
+    pts = np.stack([streams.unit_vector(SEED, i, d) for i in range(n)])
     est = build_estimator(d, m, SEED)
     for row in pts:
         insert(est, row)
@@ -200,7 +190,7 @@ def test_criterion_5_distance_estimation(capsys):
 
     worst_plain = 0.0
     for qi in range(20):
-        q = unit_vector(10_000 + qi, d)
+        q = streams.unit_vector(SEED, 10_000 + qi, d)
         params = QueryParams(
             eps=eps, delta=delta, k=k,
             query_seed=streams.derive_seed(SEED, streams.QUERY, qi),
@@ -313,7 +303,7 @@ def test_criterion_8_determinism(capsys):
     reports_identical = outputs[0] == outputs[1]
 
     ens = build_ensemble(100, 16, 3)
-    z = unit_vector(0, 100, seed=3)
+    z = streams.unit_vector(3, 0, 100)
     batched = embed(ens, z).values
     serial = embed(ens, z, serial=True).values
     row = embed_batch(ens, z[None, :])[0]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,75 @@ def test_output_file_and_silence(capsys, tmp_path, no_env_seed):
     assert capsys.readouterr().out == ""
     report = json.loads(target.read_text())
     assert report["config"]["output_path"] == str(target)
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code = run(["lowerbound", "--d", "8", "--m", "2", "--trials", "2",
+                "--output", str(target)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rhtsketch: cannot write {target}: " in captured.err
+    assert not target.exists()
+
+
+def _distest_stress_argv(tmp_path):
+    rng = np.random.default_rng(1)
+    pts = write_csv(tmp_path / "p.csv", rng.standard_normal((5, 6)).tolist())
+    q = write_csv(tmp_path / "q.csv", rng.standard_normal((2, 6)).tolist())
+    return ["distest", "--input", pts, "--query", q, "--m", "16", "--k", "32",
+            "--stress", "2"]
+
+
+def _kernel_csv_argv(tmp_path):
+    pts = write_csv(tmp_path / "p.csv", [[0.5, 0.0], [0.0, 0.5], [0.3, 0.3]])
+    return ["kernel", "--input", pts, "--m", "32"]
+
+
+# (argv builder, CSV header) for every command whose report --output writes.
+OUTPUT_CASES = {
+    "bench": (lambda tmp: ["bench", "--d", "16", "--m", "1"],
+              ["d", "fwht_ms", "embed_ms", "naive_ms", "speedup_embed_vs_naive"]),
+    "verify": (lambda tmp: list(VERIFY_SMALL), ["case_id", "deviation"]),
+    "kernel": (lambda tmp: ["kernel", "--d", "4", "--n", "3", "--m", "16"],
+               ["case_id", "deviation"]),
+    "kernel-input": (_kernel_csv_argv, ["case_id", "deviation"]),
+    "distest-stress": (_distest_stress_argv, ["query_index", "point_index", "estimate"]),
+    "lowerbound": (lambda tmp: ["lowerbound", "--d", "4", "--m", "4", "--trials", "3"],
+                   ["trial", "basis_max", "baseline_norm"]),
+}
+
+_BENCH_TIMING = r'"(fwht_ms|embed_ms|naive_ms|speedup_embed_vs_naive)": [^,\n]+'
+
+
+def _comparable(command, fmt, text):
+    """The report text with runtime_ms and output_path zeroed, and bench timings dropped."""
+    if fmt == "csv":
+        if command == "bench":
+            text = "\r\n".join(line.split(",")[0] for line in text.split("\r\n"))
+        return text
+    text = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
+    text = re.sub(r'"output_path": "[^"\n]*"', '"output_path": null', text)
+    return re.sub(_BENCH_TIMING, r'"\1": 0', text) if command == "bench" else text
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
+def test_output_file_bytes_match_stdout(capsys, tmp_path, no_env_seed, command, fmt):
+    build_argv, header = OUTPUT_CASES[command]
+    argv = build_argv(tmp_path) + ["--format", fmt]
+    assert run(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    target = tmp_path / f"report.{fmt}"
+    assert run(argv + ["--output", str(target)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    written = target.read_bytes().decode("utf-8")
+    assert _comparable(command, fmt, written) == _comparable(command, fmt, printed)
+    if fmt == "csv":
+        assert written.startswith(",".join(header) + "\r\n")
+    else:
+        assert json.loads(written)["config"]["output_path"] == str(target)
 
 
 def test_verify_csv_format(capsys, no_env_seed):

@@ -22,14 +22,9 @@ from rhtsketch.distance import (
 from rhtsketch.ensemble import embed
 
 
-def unit(seed, index, d):
-    g = streams.gaussian_block(seed, streams.VECTOR, index, d)
-    return g / np.linalg.norm(g)
-
-
 def small_estimator(d=16, m=64, seed=0, n=6):
     est = build_estimator(d, m, seed)
-    pts = np.stack([unit(seed, i, d) for i in range(n)])
+    pts = np.stack([streams.unit_vector(seed, i, d) for i in range(n)])
     for row in pts:
         insert(est, row)
     return est, pts
@@ -139,6 +134,17 @@ def test_query_on_empty_estimator_returns_empty():
     assert out.shape == (0,)
 
 
+def test_query_on_empty_estimator_with_details():
+    est = build_estimator(8, 4, 0)
+    params = QueryParams(eps=0.1, delta=0.01, query_seed=1)
+    estimates, details = query(est, np.zeros(8), params, return_details=True)
+    for arr in (estimates, details.quantiles, details.radii):
+        assert arr.shape == (0,)
+    k = default_sample_count(0, params.eps, params.delta)
+    drawn = streams.generator(1, streams.QUERY, 0).integers(0, 4 * 8, size=k)
+    assert_array_equal(details.indices, drawn)
+
+
 def test_insert_returns_indices_and_reembeds_identically():
     est, pts = small_estimator()
     assert est.n == len(pts)
@@ -165,7 +171,7 @@ def test_coincident_query_is_exact_zero():
 def test_estimates_nonnegative_finite_and_details_consistent():
     est, pts = small_estimator()
     params = QueryParams(eps=0.2, delta=0.1, query_seed=4, k=500)
-    q = unit(1, 50, 16)
+    q = streams.unit_vector(1, 50, 16)
     out, details = query(est, q, params, return_details=True)
     assert np.all(out >= 0) and np.all(np.isfinite(out))
     assert details.indices.shape == (500,)
@@ -187,7 +193,7 @@ def test_monotone_truncation():
     # untruncated scaled mean of |differences|
     est, pts = small_estimator()
     params = QueryParams(eps=0.1, delta=0.01, query_seed=12, k=400)
-    q = 1.7 * unit(2, 60, 16)
+    q = 1.7 * streams.unit_vector(2, 60, 16)
     out, details = query(est, q, params, return_details=True)
     y = embed(est.ensemble, q).values
     for i in range(len(pts)):
@@ -203,9 +209,9 @@ def test_monotone_truncation():
 
 def test_query_homogeneity():
     d, m, seed = 16, 128, 5
-    pts = np.stack([unit(seed, i, d) for i in range(4)])
+    pts = np.stack([streams.unit_vector(seed, i, d) for i in range(4)])
     params = QueryParams(eps=0.1, delta=0.01, query_seed=21)
-    q = unit(seed, 99, d)
+    q = streams.unit_vector(seed, 99, d)
 
     def run(scale):
         est = build_estimator(d, m, seed)

@@ -16,11 +16,6 @@ from rhtsketch.ensemble import (
 from rhtsketch.hadamard import naive_hadamard_apply
 
 
-def unit(seed, index, d):
-    g = streams.gaussian_block(seed, streams.VECTOR, index, d)
-    return g / np.linalg.norm(g)
-
-
 def test_build_deterministic():
     a = build_ensemble(4, 2, 42)
     b = build_ensemble(4, 2, 42)
@@ -83,7 +78,7 @@ def test_embed_matches_naive_oracle():
 
 def test_embed_linearity():
     ens = build_ensemble(16, 8, 4)
-    x, y = unit(4, 0, 16), unit(4, 1, 16)
+    x, y = streams.unit_vector(4, 0, 16), streams.unit_vector(4, 1, 16)
     lhs = embed(ens, 2.5 * x - 1.5 * y).values
     rhs = 2.5 * embed(ens, x).values - 1.5 * embed(ens, y).values
     assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
@@ -174,7 +169,7 @@ def test_distortion_closed_form_for_basis_pair():
 
 def test_distortion_scale_invariant_along_a_direction():
     ens = build_ensemble(16, 40, 9)
-    x = unit(9, 3, 16)
+    x = streams.unit_vector(9, 3, 16)
     e1 = np.zeros(16); e1[0] = 1.0
     d1 = distortion_check(ens, [(x, x + 1.0 * e1)])
     d2 = distortion_check(ens, [(x, x + 2.0 * e1)])
@@ -185,7 +180,7 @@ def test_distortion_rejects_degenerate_input():
     ens = build_ensemble(8, 2, 0)
     with pytest.raises(ValueError, match="nonempty"):
         distortion_check(ens, [])
-    x = unit(0, 0, 8)
+    x = streams.unit_vector(0, 0, 8)
     with pytest.raises(ValueError, match="coincident"):
         distortion_check(ens, [(x, x.copy())])
 

@@ -15,11 +15,6 @@ from rhtsketch.features import (
 from rhtsketch.gaussian import rbf_kernel
 
 
-def unit(seed, index, d):
-    g = streams.gaussian_block(seed, streams.VECTOR, index, d)
-    return g / np.linalg.norm(g)
-
-
 @pytest.fixture(scope="module")
 def desk_map():
     # shared desk-scale map: d = 64, m = 2000, seeds 0
@@ -45,7 +40,7 @@ def test_phase_stream_disjoint_from_diagonal_stream():
 
 
 def test_feature_entries_within_cos_envelope(desk_map):
-    x = unit(0, 10, 64)
+    x = streams.unit_vector(0, 10, 64)
     vec = features(desk_map, x)
     bound = np.sqrt(2.0 / (2000 * 64))
     assert vec.shape == (2000 * 64,)
@@ -69,7 +64,7 @@ def test_features_rejects_bad_input(desk_map):
 
 
 def test_approx_kernel_self_far_and_mid(desk_map):
-    x = unit(0, 777, 64)
+    x = streams.unit_vector(0, 777, 64)
     assert abs(approx_kernel(desk_map, x, x) - 1.0) <= 0.02
     e1 = np.zeros(64); e1[0] = 1.0
     e2 = np.zeros(64); e2[1] = 1.0
@@ -80,13 +75,13 @@ def test_approx_kernel_self_far_and_mid(desk_map):
 
 
 def test_approx_kernel_symmetric_bitwise(desk_map):
-    x, y = unit(0, 20, 64), unit(0, 21, 64)
+    x, y = streams.unit_vector(0, 20, 64), streams.unit_vector(0, 21, 64)
     assert approx_kernel(desk_map, x, y) == approx_kernel(desk_map, y, x)
 
 
 def test_kerdec_identity_random_pairs(desk_map):
     for i in range(5):
-        x, y = unit(0, 40 + 2 * i, 64), unit(0, 41 + 2 * i, 64)
+        x, y = streams.unit_vector(0, 40 + 2 * i, 64), streams.unit_vector(0, 41 + 2 * i, 64)
         sum_term, diff_term = kerdec_decompose(desk_map, x, y)
         assert abs(sum_term + diff_term - approx_kernel(desk_map, x, y)) <= 1e-10
 
@@ -101,7 +96,7 @@ def test_kerdec_at_origin(desk_map):
 def test_kerdec_sum_term_small_at_desk_scale(desk_map):
     # phase randomization kills the sum term for ||x+y|| <= 4
     for i in range(10):
-        x, y = unit(0, 500 + 2 * i, 64), unit(0, 501 + 2 * i, 64)
+        x, y = streams.unit_vector(0, 500 + 2 * i, 64), streams.unit_vector(0, 501 + 2 * i, 64)
         sum_term, _ = kerdec_decompose(desk_map, x, y)
         assert abs(sum_term) <= 0.05
 
@@ -134,7 +129,7 @@ def test_unbiased_over_fresh_maps_at_non_power_of_two_d():
 
 def test_sweep_singleton_pair():
     fmap = build_feature_map(build_ensemble(8, 16, 3), 3)
-    x = unit(3, 0, 8)
+    x = streams.unit_vector(3, 0, 8)
     rep = kernel_error_sweep(fmap, [x, x.copy()])
     expected = abs(approx_kernel(fmap, x, x) - 1.0)
     assert_allclose(rep.max_deviation, expected, rtol=1e-12)
@@ -150,7 +145,7 @@ def test_sweep_all_zero_points():
 
 
 def test_sweep_report_structure(desk_map):
-    pts = [unit(0, 900 + i, 64) for i in range(5)]
+    pts = [streams.unit_vector(0, 900 + i, 64) for i in range(5)]
     rep = kernel_error_sweep(desk_map, pts)
     assert rep.label == "kernel_error_sweep"
     assert len(rep.per_case) == 15

@@ -11,6 +11,7 @@ from rhtsketch.gaussian import (
 )
 from rhtsketch.lab import (
     TestVectorSuite,
+    ball_points,
     basis_max_experiment,
     default_t_grid,
     ecdf_deviation,
@@ -175,3 +176,11 @@ def test_baseline_rejects_bad_input():
         gaussian_baseline_max(0, 4, 10, 0)
     with pytest.raises(ValueError):
         gaussian_baseline_max(10, 4, 0, 0)
+
+
+def test_ball_points_lie_in_the_ball_and_rows_are_per_stream():
+    pts = ball_points(20, 5, 3)
+    assert pts.shape == (20, 5)
+    assert np.all(np.linalg.norm(pts, axis=1) <= 1.0)
+    assert np.array_equal(ball_points(4, 5, 3), pts[:4])
+    assert not np.array_equal(ball_points(4, 5, 4), pts[:4])

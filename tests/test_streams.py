@@ -89,3 +89,10 @@ def test_rejects_out_of_range_index_and_purpose():
         streams.generator(0, streams.DIAGONAL, -1)
     with pytest.raises(ValueError, match="purpose"):
         streams.generator(0, 256, 0)
+
+
+def test_unit_vector_is_the_normalized_vector_stream():
+    g = streams.gaussian_block(5, streams.VECTOR, 7, 33)
+    v = streams.unit_vector(5, 7, 33)
+    assert_array_equal(v, g / np.linalg.norm(g))
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
