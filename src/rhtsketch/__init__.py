@@ -60,7 +60,6 @@ from .hadamard import (
     next_pow2,
 )
 from .lab import (
-    TestVectorSuite,
     basis_max_experiment,
     default_t_grid,
     ecdf_deviation,
@@ -83,7 +82,6 @@ __all__ = [
     "QueryParams",
     "RhtEnsemble",
     "ScalarFunctional",
-    "TestVectorSuite",
     "abs_functional",
     "adaptive_stress",
     "approx_kernel",

@@ -20,6 +20,7 @@ from .distance import (
     QueryParams,
     adaptive_stress,
     build_estimator,
+    check_open_half,
     default_block_count,
     insert,
     query,
@@ -89,11 +90,22 @@ def resolve_seed(flag_value: Optional[int]) -> int:
     return 0
 
 
+def _check_output(path: Optional[str]) -> None:
+    """Reject an --output that cannot be opened, without creating or truncating it."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise UsageError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def _check_range(cfg: RunConfig) -> None:
     for name in ("eps", "delta"):
         value = getattr(cfg, name)
-        if value is not None and not 0.0 < value < 0.5:
-            raise ValueError(f"{name} must lie in (0, 1/2), got {value}")
+        if value is not None:
+            check_open_half(name, value)
     for name in ("d", "m", "k", "n", "trials"):
         value = getattr(cfg, name)
         if value is not None and value < 1:
@@ -329,6 +341,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     fields = {f: getattr(args, f, None) for f in RunConfig.__dataclass_fields__}
     try:
         fields["seed"] = resolve_seed(args.seed)
+        _check_output(args.output_path)
     except UsageError as exc:
         print(f"rhtsketch: {exc}", file=sys.stderr)
         return EXIT_USAGE

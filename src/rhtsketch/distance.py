@@ -31,6 +31,12 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 ADVERSARIES = ("basis", "greedy-feedback")
 
 
+def check_open_half(name: str, value: float) -> None:
+    """The one range rule for eps and delta: value must lie in (0, 1/2)."""
+    if not 0.0 < value < 0.5:
+        raise ValueError(f"{name} must lie in (0, 1/2), got {value}")
+
+
 @dataclass(frozen=True)
 class QueryParams:
     """Per-query accuracy knobs.
@@ -47,10 +53,8 @@ class QueryParams:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 0.5:
-            raise ValueError(f"eps must lie in (0, 1/2), got {self.eps}")
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
+        check_open_half("eps", self.eps)
+        check_open_half("delta", self.delta)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.k is not None and self.k < 1:
@@ -107,18 +111,16 @@ def default_block_count(logical_d: int, eps: float, delta: float) -> int:
     """Default m = ceil(8 * eps^-2 * ln(d/delta))."""
     if logical_d < 1:
         raise ValueError(f"dimension must be positive, got {logical_d}")
-    _check_eps_delta(eps, delta)
+    check_open_half("eps", eps)
+    check_open_half("delta", delta)
     return math.ceil(8.0 * eps**-2 * math.log(logical_d / delta))
+
 
 def default_sample_count(n: int, eps: float, delta: float) -> int:
     """Default k = ceil(8 * eps^-2 * ln(4n/delta)); n below 1 is treated as 1."""
-    _check_eps_delta(eps, delta)
+    check_open_half("eps", eps)
+    check_open_half("delta", delta)
     return math.ceil(8.0 * eps**-2 * math.log(4.0 * max(n, 1) / delta))
-
-
-def _check_eps_delta(eps: float, delta: float) -> None:
-    if not 0.0 < eps < 0.5 or not 0.0 < delta < 0.5:
-        raise ValueError("eps and delta must lie in (0, 1/2)")
 
 
 def build_estimator(logical_d: int, m: int, seed: int) -> DistanceEstimator:

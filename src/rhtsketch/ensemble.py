@@ -122,20 +122,21 @@ def distortion_check(
 ) -> float:
     """Worst relative distortion |  ||h(x)-h(y)|| / (sqrt(m*d)*||x-y||) - 1 |.
 
-    The normalizer's d is padded_d.  Pairs must be distinct: a coincident
-    pair has no defined distortion.
+    The normalizer's d is padded_d.  By linearity h(x) - h(y) = h(x - y), so
+    each pair costs one transform.  Pairs must be distinct: a coincident pair
+    has no defined distortion.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
     scale = np.sqrt(ensemble.m * ensemble.dim.padded_d)
     worst = 0.0
     for x, y in pairs:
-        gap = np.linalg.norm(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
+        diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+        gap = np.linalg.norm(diff)
         if gap == 0.0:
             raise ValueError("coincident pair: distortion is undefined")
-        emb_diff = embed(ensemble, x).values
-        emb_diff -= embed(ensemble, y).values
-        worst = max(worst, abs(np.linalg.norm(emb_diff) / (scale * gap) - 1.0))
+        norm = np.linalg.norm(embed(ensemble, diff).values)
+        worst = max(worst, abs(norm / (scale * gap) - 1.0))
     return float(worst)
 
 
@@ -157,8 +158,11 @@ def load_ensemble(path: str) -> RhtEnsemble:
     """Rebuild an ensemble from its JSON header, regenerating the diagonals."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version: {header.get('schema_version')}")
+    if not isinstance(header, dict):
+        raise ValueError(f"header is not a JSON object: {header!r}")
+    version = header.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version: {version!r}")
     for name in ("logical_d", "padded_d", "m", "seed"):
         value = header.get(name)
         if not isinstance(value, int) or isinstance(value, bool):

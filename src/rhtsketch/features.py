@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
+from .distance import check_open_half
 from .ensemble import RhtEnsemble, embed, embed_batch
 from .gaussian import rbf_kernel
 from .report import DeviationReport
@@ -121,8 +122,8 @@ def kernel_error_sweep(fmap: FourierFeatureMap, points: list[np.ndarray]) -> Dev
 
 def default_feature_blocks(eps: float, delta: float, diam: float) -> int:
     """Practical block count for a target accuracy over a set of diameter diam."""
-    if not 0 < eps < 0.5 or not 0 < delta < 0.5:
-        raise ValueError("eps and delta must lie in (0, 1/2)")
+    check_open_half("eps", eps)
+    check_open_half("delta", delta)
     if diam < 0:
         raise ValueError(f"diameter must be nonnegative, got {diam}")
     return math.ceil(8.0 * eps**-2 * max(1.0, diam * diam) * math.log(2.0 / delta))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,24 +12,11 @@ from .gaussian import ScalarFunctional, gaussian_expectation, std_normal_cdf
 from .report import DeviationReport
 
 
-@dataclass(frozen=True)
-class TestVectorSuite:
-    """Labeled unit vectors covering the structurally extreme directions."""
-
-    __test__ = False  # not a pytest class despite the name
-
-    labels: tuple[str, ...]
-    vectors: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(zip(self.labels, self.vectors))
-
-
-def test_vector_suite(logical_d: int, n_random: int, seed: int) -> TestVectorSuite:
-    """e_1, the flat vector, every dyadic sparsity level, and random directions.
+def test_vector_suite(
+    logical_d: int, n_random: int, seed: int
+) -> tuple[tuple[str, np.ndarray], ...]:
+    """(label, read-only unit vector) pairs: e_1, the flat vector, every dyadic
+    sparsity level, and random directions.
 
     dyadic(l) has 2^l equal-magnitude nonzeros: the sparsity ladder between
     the basis vector (hardest single direction) and the flat vector (the
@@ -40,35 +26,27 @@ def test_vector_suite(logical_d: int, n_random: int, seed: int) -> TestVectorSui
         raise ValueError(f"need dimension >= 2, got {logical_d}")
     if n_random < 0:
         raise ValueError(f"n_random must be >= 0, got {n_random}")
-    labels: list[str] = []
-    vectors: list[np.ndarray] = []
-
+    suite: list[tuple[str, np.ndarray]] = []
     e1 = np.zeros(logical_d)
     e1[0] = 1.0
-    labels.append("basis")
-    vectors.append(e1)
+    suite.append(("basis", e1))
 
     flat = np.ones(logical_d)
     flat /= np.linalg.norm(flat)
-    labels.append("flat")
-    vectors.append(flat)
+    suite.append(("flat", flat))
 
     level = 1
     while (1 << level) <= logical_d:
         v = np.zeros(logical_d)
         v[: 1 << level] = 1.0
         v /= np.linalg.norm(v)
-        labels.append(f"dyadic({level})")
-        vectors.append(v)
+        suite.append((f"dyadic({level})", v))
         level += 1
 
-    for i in range(n_random):
-        vectors.append(streams.unit_vector(seed, i, logical_d))
-        labels.append(f"random_{i}")
-
-    for v in vectors:
+    suite += [(f"random_{i}", streams.unit_vector(seed, i, logical_d)) for i in range(n_random)]
+    for _, v in suite:
         v.setflags(write=False)
-    return TestVectorSuite(labels=tuple(labels), vectors=tuple(vectors))
+    return tuple(suite)
 
 
 def ball_points(n: int, d: int, seed: int) -> np.ndarray:
@@ -82,7 +60,7 @@ def ball_points(n: int, d: int, seed: int) -> np.ndarray:
 
 
 def lipschitz_deviation(
-    ensemble: RhtEnsemble, f: ScalarFunctional, suite: TestVectorSuite
+    ensemble: RhtEnsemble, f: ScalarFunctional, suite: tuple[tuple[str, np.ndarray], ...]
 ) -> DeviationReport:
     """Empirical-vs-Gaussian deviation of mean f over embedding entries.
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from rhtsketch import cli
 from rhtsketch.cli import (
     EXIT_BAD_CSV,
     EXIT_INVARIANT,
@@ -127,15 +128,19 @@ def test_output_file_and_silence(capsys, tmp_path, no_env_seed):
     assert report["config"]["output_path"] == str(target)
 
 
-def test_unwritable_output_is_usage_error(capsys, tmp_path):
-    target = tmp_path / "missing" / "x.json"
-    code = run(["lowerbound", "--d", "8", "--m", "2", "--trials", "2",
-                "--output", str(target)])
-    assert code == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"rhtsketch: cannot write {target}: " in captured.err
-    assert not target.exists()
+def test_unwritable_output_is_usage_error(capsys, tmp_path, monkeypatch):
+    def handler_must_not_run(cfg):
+        pytest.fail("the handler ran before --output was checked")
+
+    monkeypatch.setitem(cli._HANDLERS, "lowerbound", handler_must_not_run)
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code = run(["lowerbound", "--d", "8", "--m", "2", "--trials", "2",
+                    "--output", str(target)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"rhtsketch: cannot write {target}: " in captured.err
+    assert not (tmp_path / "missing").exists()
 
 
 def _distest_stress_argv(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rhtsketch import streams
+from rhtsketch import ensemble, streams
 from rhtsketch.ensemble import (
     build_ensemble,
     distortion_check,
@@ -176,6 +176,37 @@ def test_distortion_scale_invariant_along_a_direction():
     assert_allclose(d1, d2, rtol=1e-10, atol=1e-12)
 
 
+def test_distortion_embeds_each_pair_once(monkeypatch):
+    ens = build_ensemble(20, 6, 3)
+    pairs = [(streams.unit_vector(3, 2 * p, 20), streams.unit_vector(3, 2 * p + 1, 20))
+             for p in range(5)]
+    calls = []
+
+    def counting_embed(ensemble_, z, **kwargs):
+        calls.append(z)
+        return embed(ensemble_, z, **kwargs)
+
+    monkeypatch.setattr(ensemble, "embed", counting_embed)
+    distortion_check(ens, pairs)
+    assert len(calls) == len(pairs)
+
+
+@pytest.mark.parametrize("d", [20, 64, 256])
+def test_distortion_matches_two_embedding_definition(d):
+    ens = build_ensemble(d, 17, d)
+    scale = np.sqrt(ens.m * ens.dim.padded_d)
+    worst = 0.0
+    pairs = []
+    for p in range(8):
+        x = streams.unit_vector(d, 2 * p, d)
+        y = streams.unit_vector(d, 2 * p + 1, d)
+        pairs.append((x, y))
+        ratio = np.linalg.norm(embed(ens, x).values - embed(ens, y).values) / (
+            scale * np.linalg.norm(x - y))
+        worst = max(worst, abs(ratio - 1.0))
+    assert_allclose(distortion_check(ens, pairs), worst, rtol=1e-12)
+
+
 def test_distortion_rejects_degenerate_input():
     ens = build_ensemble(8, 2, 0)
     with pytest.raises(ValueError, match="nonempty"):
@@ -213,4 +244,14 @@ def test_persistence_rejects_corrupt_header(tmp_path):
         with open(path, "w") as fh:
             fh.write('{"schema_version": 1, ' + bad + "}")
         with pytest.raises(ValueError, match=field):
+            load_ensemble(path)
+    for text, match in (
+        ("[]", "JSON object"),
+        ("5", "JSON object"),
+        ('{"schema_version": true, "logical_d": 4, "padded_d": 4, "m": 1, "seed": 0}',
+         "schema_version"),
+    ):
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=match):
             load_ensemble(path)

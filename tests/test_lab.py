@@ -10,7 +10,6 @@ from rhtsketch.gaussian import (
     identity_functional,
 )
 from rhtsketch.lab import (
-    TestVectorSuite,
     ball_points,
     basis_max_experiment,
     default_t_grid,
@@ -53,7 +52,7 @@ def test_lipschitz_identity_at_basis_vector_closed_form():
     # to the mean first-diagonal entry
     ens = build_ensemble(16, 32, 4)
     e1 = np.zeros(16); e1[0] = 1.0
-    suite = TestVectorSuite(labels=("basis",), vectors=(e1,))
+    suite = (("basis", e1),)
     rep = lipschitz_deviation(ens, identity_functional(), suite)
     expected = abs(float(np.mean(ens.diagonals[:, 0])))
     assert_allclose(rep.per_case[0][1], expected, rtol=1e-12)
@@ -61,7 +60,7 @@ def test_lipschitz_identity_at_basis_vector_closed_form():
 
 def test_lipschitz_zero_vector_gives_zero_deviation():
     ens = build_ensemble(8, 4, 1)
-    suite = TestVectorSuite(labels=("zero",), vectors=(np.zeros(8),))
+    suite = (("zero", np.zeros(8)),)
     rep = lipschitz_deviation(ens, cosine_functional(), suite)
     assert rep.per_case[0][1] == 0.0
 
@@ -106,7 +105,7 @@ def test_lipschitz_report_shape():
     assert len(rep.per_case) == len(suite)
     assert rep.max_deviation == max(dev for _, dev in rep.per_case)
     with pytest.raises(ValueError):
-        lipschitz_deviation(ens, cosine_functional(), TestVectorSuite((), ()))
+        lipschitz_deviation(ens, cosine_functional(), ())
 
 
 def test_ecdf_deviation_bounds_and_grid_validation():
