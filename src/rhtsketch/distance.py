@@ -7,20 +7,23 @@ differences into a distance estimate: a quantile sets a truncation radius,
 and the truncated mean of absolute differences, rescaled by sqrt(pi/2),
 estimates ||q - x_i||.  The same sampled coordinates serve every stored
 point, and both the quantile and the mean.
+
+The store is laid out for that gather (see DistanceEstimator); a query may
+re-lay-out storage, but that never changes any result.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import streams
-from .ensemble import Embedding, RhtEnsemble, build_ensemble, embed
+from .ensemble import Embedding, RhtEnsemble, build_ensemble, embed, embed_batch
 from .report import DeviationReport
 
 # Truncation quantile level: the CDF of a standard normal at 3.
@@ -29,6 +32,9 @@ DEFAULT_ALPHA = float(ndtr(3.0))
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 ADVERSARIES = ("basis", "greedy-feedback")
+
+# Points per storage chunk: 8 float64 make one 64-byte cache line.
+_CHUNK = 8
 
 
 def check_open_half(name: str, value: float) -> None:
@@ -63,14 +69,30 @@ class QueryParams:
 
 @dataclass
 class DistanceEstimator:
-    """An ensemble plus one stored embedding per inserted point."""
+    """An ensemble plus the stored embeddings of its n inserted points.
+
+    Point i lives in chunk i // _CHUNK, one float64 buffer of
+    _CHUNK * m * padded_d entries.  A chunk is filled point-major, viewed as
+    (_CHUNK, m * padded_d); once full, the next query seals it, rewriting
+    the same buffer as its transpose (m * padded_d, _CHUNK), so that one
+    sampled coordinate of 8 points is one 64-byte cache line.  The first
+    ``_sealed`` chunks are sealed.  Sealing changes no stored value.
+    """
 
     ensemble: RhtEnsemble
-    embeddings: list[Embedding]
+    n: int = field(default=0, init=False)
+    _chunks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _sealed: int = field(default=0, init=False, repr=False)
 
     @property
-    def n(self) -> int:
-        return len(self.embeddings)
+    def embeddings(self) -> list[Embedding]:
+        """Copies of the stored embeddings, in insertion order (read-only)."""
+        out = []
+        for i in range(self.n):
+            c, r = divmod(i, _CHUNK)
+            values = self._chunks[c][:, r] if c < self._sealed else self._chunks[c][r]
+            out.append(Embedding(values.copy(), self.ensemble.dim, self.ensemble.m))
+        return out
 
 
 @dataclass(frozen=True)
@@ -125,13 +147,39 @@ def default_sample_count(n: int, eps: float, delta: float) -> int:
 
 def build_estimator(logical_d: int, m: int, seed: int) -> DistanceEstimator:
     """Empty estimator over a fresh ensemble."""
-    return DistanceEstimator(ensemble=build_ensemble(logical_d, m, seed), embeddings=[])
+    return DistanceEstimator(ensemble=build_ensemble(logical_d, m, seed))
 
 
 def insert(est: DistanceEstimator, x: np.ndarray) -> int:
-    """Store the embedding of x; returns its index. Cost O(m d log d)."""
-    est.embeddings.append(embed(est.ensemble, x))
-    return len(est.embeddings) - 1
+    """Store the embedding of x; returns its index. Cost O(m d log d).
+
+    x is embedded straight into its row of the newest chunk.  Every
+    _CHUNK-th insert allocates a new chunk, kept only once x has passed
+    embed_batch's checks, so a rejected x leaves the estimator unchanged.
+    """
+    z = np.asarray(x, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError(f"expected {est.ensemble.dim.logical_d} entries, got shape {z.shape}")
+    row = est.n % _CHUNK
+    chunk = est._chunks[-1] if row else np.empty((_CHUNK, est.ensemble.diagonals.size))
+    embed_batch(est.ensemble, z[None, :], out=chunk[row : row + 1])
+    if not row:
+        est._chunks.append(chunk)
+    est.n += 1
+    return est.n - 1
+
+
+def _seal(est: DistanceEstimator) -> None:
+    """Transpose every full, unsealed chunk in place through one scratch chunk."""
+    full = est.n // _CHUNK
+    if est._sealed == full:
+        return
+    scratch = np.empty((_CHUNK, est.ensemble.diagonals.size))
+    for c in range(est._sealed, full):
+        np.copyto(scratch, est._chunks[c])
+        est._chunks[c] = est._chunks[c].reshape(-1, _CHUNK)  # the same buffer
+        np.copyto(est._chunks[c], scratch.T)
+    est._sealed = full
 
 
 def query(
@@ -148,7 +196,9 @@ def query(
         r_i = max(0, 2*sqrt(ln 1/eps) * quantile(sampled differences, alpha))
         d_i = sqrt(pi/2) * mean of min(|sampled differences|, r_i).
     Returns a length-n float array; with return_details=True, a pair
-    (estimates, QueryDetails).
+    (estimates, QueryDetails).  Full chunks of the store are sealed first
+    (see DistanceEstimator); that changes no result, and its one chunk of
+    scratch is freed before the gather.
     """
     y = embed(est.ensemble, q).values
     n = est.n
@@ -157,9 +207,18 @@ def query(
     rng = streams.generator(params.query_seed, streams.QUERY, 0)
     indices = rng.integers(0, total, size=k)
     y_sel = y[indices]
+    _seal(est)
+    # Row i of diffs is y_sel - stored_i[indices], as in a per-point loop.
     diffs = np.empty((n, k), dtype=np.float64)
-    for i, stored in enumerate(est.embeddings):
-        np.subtract(y_sel, stored.values[indices], out=diffs[i])
+    picked = np.empty((k, _CHUNK), dtype=np.float64)
+    for c in range(est._sealed):
+        # indices lie in range, so "clip" changes nothing; "raise" would
+        # write out through a temporary copy
+        np.take(est._chunks[c], indices, axis=0, out=picked, mode="clip")
+        np.subtract(y_sel, picked.T, out=diffs[c * _CHUNK : (c + 1) * _CHUNK])
+    lo = est._sealed * _CHUNK
+    if lo < n:
+        np.subtract(y_sel, est._chunks[-1][: n - lo, indices], out=diffs[lo:])
     quantiles = quantile(diffs, params.alpha)
     radii = np.maximum(0.0, 2.0 * math.sqrt(math.log(1.0 / params.eps)) * quantiles)
     estimates = _SQRT_HALF_PI * np.mean(psi(radii[:, None], diffs, out=diffs), axis=1)

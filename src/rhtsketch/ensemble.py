@@ -67,8 +67,11 @@ def build_ensemble(logical_d: int, m: int, seed: int) -> RhtEnsemble:
     return RhtEnsemble(dim=dim, m=m, seed=int(seed), diagonals=diagonals)
 
 
-def _scaled_blocks(ensemble: RhtEnsemble, zs: np.ndarray) -> np.ndarray:
-    """The (n, m, padded_d) products D^j z_i, z_i zero-padded to padded_d."""
+def _scaled_blocks(ensemble: RhtEnsemble, zs: np.ndarray, out=None) -> np.ndarray:
+    """The (n, m, padded_d) products D^j z_i, z_i zero-padded to padded_d.
+
+    Written into embed_batch's ``out`` when given, else into a new array.
+    """
     zs = np.asarray(zs, dtype=np.float64)
     if zs.ndim != 2 or zs.shape[1] != ensemble.dim.logical_d:
         raise ValueError(
@@ -76,9 +79,18 @@ def _scaled_blocks(ensemble: RhtEnsemble, zs: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(zs)):
         raise ValueError("input has non-finite entries")
+    rows = (len(zs), ensemble.diagonals.size)
+    if out is None:
+        out = np.empty(rows, dtype=np.float64)
+    elif not (
+        isinstance(out, np.ndarray)
+        and (out.shape, out.dtype) == (rows, np.float64)
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {rows}")
+    out = out.reshape((len(zs),) + ensemble.diagonals.shape)  # a view: out is C-contiguous
     padded = np.zeros((zs.shape[0], ensemble.dim.padded_d), dtype=np.float64)
     padded[:, : ensemble.dim.logical_d] = zs
-    out = np.empty((zs.shape[0],) + ensemble.diagonals.shape, dtype=np.float64)
     np.multiply(ensemble.diagonals, padded[:, None, :], out=out)
     return out
 
@@ -103,18 +115,21 @@ def embed(ensemble: RhtEnsemble, z: np.ndarray, *, serial: bool = False) -> Embe
     return Embedding(values=values.reshape(-1), source_dim=ensemble.dim, m=ensemble.m)
 
 
-def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray) -> np.ndarray:
+def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarray:
     """Embeddings for the rows of zs, as an (n, m * padded_d) matrix.
 
     Row i is bit-identical to embed(ensemble, zs[i]).values: the batched
     butterfly applies the same elementwise operations per row.  The rows are
     multiplied into the output and transformed there in place, so memory is
     the n * m * padded_d output plus n * padded_d floats of padded input
-    plus the butterfly's one 128 KiB tile.
+    plus the butterfly's one 128 KiB tile.  ``out``, a C-contiguous float64
+    (n, m * padded_d) array, receives the embeddings in place of a new
+    array, and the result is a view of it; zs is checked before ``out`` is
+    written.
     """
-    out = _scaled_blocks(ensemble, zs)
-    fwht_in_place(out)
-    return out.reshape(-1, ensemble.m * ensemble.dim.padded_d)
+    blocks = _scaled_blocks(ensemble, zs, out)
+    fwht_in_place(blocks)
+    return blocks.reshape(-1, ensemble.diagonals.size)
 
 
 def distortion_check(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,123 @@ def test_insert_returns_indices_and_reembeds_identically():
     assert idx == len(pts)
     for i, row in enumerate(pts):
         assert_array_equal(est.embeddings[i].values, embed(est.ensemble, row).values)
+
+
+def reference_query(ens, pts, q, params):
+    """The paper's estimator, one stored point at a time, from embed(...)."""
+    y = embed(ens, q).values
+    k = params.k
+    indices = streams.generator(params.query_seed, streams.QUERY, 0).integers(0, y.size, size=k)
+    rank = min(max(math.ceil(params.alpha * k), 1), k)
+    scale = 2.0 * math.sqrt(math.log(1.0 / params.eps))
+    estimates, quantiles, radii = [], [], []
+    for x in pts:
+        diffs = y[indices] - embed(ens, x).values[indices]
+        quantiles.append(np.sort(diffs)[rank - 1])
+        radii.append(np.maximum(0.0, scale * quantiles[-1]))
+        estimates.append(math.sqrt(math.pi / 2) * np.mean(np.minimum(np.abs(diffs), radii[-1])))
+    return indices, [np.array(v, dtype=np.float64) for v in (estimates, quantiles, radii)]
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("d,m", [(5, 1), (20, 5), (64, 3)])
+def test_chunked_store_matches_per_point_reference_across_chunk_boundaries(d, m):
+    # queries between inserts seal full chunks mid-stream; m * padded_d = 8
+    # at d=5, m=1 makes a point-major and a sealed chunk the same shape
+    ens_seed = d + m
+    est = build_estimator(d, m, ens_seed)
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(17, d))
+    checkpoints = {0, 1, 7, 8, 9, 16, 17}
+    for n in range(18):
+        if n in checkpoints:
+            assert est.n == n
+            q = rng.normal(size=d)
+            params = QueryParams(eps=0.1, delta=0.01, query_seed=100 + n, k=97)
+            indices, expected = reference_query(est.ensemble, pts[:n], q, params)
+            first = query(est, q, params, return_details=True)
+            again = query(est, q, params, return_details=True)
+            for estimates, details in (first, again):
+                assert_array_equal(details.indices, indices)
+                for got, want in zip((estimates, details.quantiles, details.radii), expected):
+                    assert_bitwise_equal(got, want)
+            stored = est.embeddings
+            assert len(stored) == n
+            for i, emb in enumerate(stored):
+                assert_array_equal(emb.values, embed(est.ensemble, pts[i]).values)
+                emb.values[:] = 1e6  # a copy: the store does not see this
+            assert_bitwise_equal(query(est, q, params), expected[0])
+        if n < 17:
+            assert insert(est, pts[n]) == n
+
+
+@pytest.mark.parametrize("before", [0, 3, 8, 16])
+@pytest.mark.parametrize(
+    "bad,match",
+    [(np.full(20, np.nan), "finite"), (np.zeros(19), "entries"), (np.zeros((1, 20)), "entries")],
+)
+def test_rejected_insert_leaves_estimator_unchanged(before, bad, match):
+    pts = np.random.default_rng(before).normal(size=(20, 20))
+    clean, probed = build_estimator(20, 6, 1), build_estimator(20, 6, 1)
+    for i, x in enumerate(pts):
+        if i == before:
+            with pytest.raises(ValueError, match=match):
+                insert(probed, bad)
+            assert probed.n == i
+        insert(clean, x)
+        insert(probed, x)
+    assert probed.n == clean.n == 20
+    for seed in range(2):
+        q = np.random.default_rng(50 + seed).normal(size=20)
+        params = QueryParams(eps=0.1, delta=0.01, query_seed=seed, k=300)
+        want, want_details = query(clean, q, params, return_details=True)
+        got, got_details = query(probed, q, params, return_details=True)
+        assert_bitwise_equal(got, want)
+        assert_bitwise_equal(got_details.quantiles, want_details.quantiles)
+        assert_bitwise_equal(got_details.radii, want_details.radii)
+
+
+def _query_peak(est, q, params):
+    tracemalloc.start()
+    try:
+        query(est, q, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_query_peak_memory_is_two_blocks_plus_at_most_one_chunk():
+    # 1 MiB chunks (8 points of m * padded_d = 16384 floats); n = 20 leaves
+    # two full chunks for the first query to seal and a 4-point open chunk
+    d, m, n, k = 256, 64, 20, 4000
+    est, _ = small_estimator(d=d, m=m, n=n)
+    chunk = 8 * 8 * m * 256
+    bound = 2 * n * k * 8 + k * 8 * 8 + (1 << 20)
+    q = streams.unit_vector(1, 99, d)
+    sealing = _query_peak(est, q, QueryParams(eps=0.1, delta=0.01, query_seed=1, k=k))
+    steady = _query_peak(est, q, QueryParams(eps=0.1, delta=0.01, query_seed=2, k=k))
+    assert steady <= bound
+    assert sealing <= bound + chunk
+
+
+def test_nine_inserts_allocate_two_chunks():
+    d, m = 256, 64
+    est = build_estimator(d, m, 0)
+    chunk = 8 * 8 * m * 256
+    pts = [streams.unit_vector(0, i, d) for i in range(9)]
+    tracemalloc.start()
+    try:
+        for x in pts:
+            insert(est, x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 2 * chunk <= held < 2 * chunk + (64 << 10)
 
 
 def test_build_then_insert_deterministic():

@@ -145,6 +145,23 @@ def test_embed_batch_peak_memory_is_output_plus_padded_input():
     assert peak <= out.nbytes + 32 * 64 * 8 + (1 << 20)
 
 
+def test_embed_batch_writes_into_out():
+    ens = build_ensemble(20, 7, 3)
+    zs = np.stack([streams.gaussian_block(3, streams.VECTOR, i, 20) for i in range(3)])
+    store = np.full((5, 7 * 32), -1.0)
+    got = embed_batch(ens, zs, out=store[1:4])
+    assert np.shares_memory(got, store)
+    assert_array_equal(store[1:4], embed_batch(ens, zs))
+    assert np.all(store[[0, 4]] == -1.0)
+    for bad in (np.empty((3, 7 * 32), dtype=np.float32), np.empty((2, 7 * 32)),
+                np.empty((3, 2 * 7 * 32))[:, ::2], [[0.0] * (7 * 32)] * 3):
+        with pytest.raises(ValueError, match="out must be"):
+            embed_batch(ens, zs, out=bad)
+    with pytest.raises(ValueError, match="finite"):
+        embed_batch(ens, np.full((3, 20), np.nan), out=store[1:4])
+    assert_array_equal(store[1:4], embed_batch(ens, zs))  # rejected input wrote nothing
+
+
 def test_embed_rejects_bad_input():
     ens = build_ensemble(8, 2, 0)
     with pytest.raises(ValueError, match="entries"):
