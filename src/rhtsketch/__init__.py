@@ -70,57 +70,3 @@ from .lab import (
 from .report import DeviationReport
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_ALPHA",
-    "DeviationReport",
-    "DistanceEstimator",
-    "Embedding",
-    "FourierFeatureMap",
-    "HadamardDim",
-    "QueryDetails",
-    "QueryParams",
-    "RhtEnsemble",
-    "ScalarFunctional",
-    "abs_functional",
-    "adaptive_stress",
-    "approx_kernel",
-    "basis_max_experiment",
-    "build_ensemble",
-    "build_estimator",
-    "build_feature_map",
-    "cosine_functional",
-    "default_block_count",
-    "default_feature_blocks",
-    "default_sample_count",
-    "default_t_grid",
-    "distortion_check",
-    "ecdf_deviation",
-    "embed",
-    "embed_batch",
-    "features",
-    "fwht_in_place",
-    "gauss_hermite_expectation",
-    "gaussian_baseline_max",
-    "gaussian_expectation",
-    "hadamard_sign_matrix",
-    "identity_functional",
-    "insert",
-    "kerdec_decompose",
-    "kernel_error_sweep",
-    "lipschitz_deviation",
-    "load_ensemble",
-    "naive_hadamard_apply",
-    "next_pow2",
-    "psi",
-    "quadrature_drift",
-    "quantile",
-    "query",
-    "rbf_kernel",
-    "save_ensemble_header",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "stress_round_seed",
-    "test_vector_suite",
-    "truncated_abs_functional",
-]

@@ -33,8 +33,10 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 ADVERSARIES = ("basis", "greedy-feedback")
 
-# Points per storage chunk: 8 float64 make one 64-byte cache line.
-_CHUNK = 8
+# A storage chunk holds the widest power of two from 8 to 64 points whose
+# embeddings fit in this many bytes, and 8 points when none does; 8 float64
+# make one 64-byte cache line.
+_CHUNK_BYTES = 8 << 20
 
 
 def check_open_half(name: str, value: float) -> None:
@@ -71,25 +73,39 @@ class QueryParams:
 class DistanceEstimator:
     """An ensemble plus the stored embeddings of its n inserted points.
 
-    Point i lives in chunk i // _CHUNK, one float64 buffer of
-    _CHUNK * m * padded_d entries.  A chunk is filled point-major, viewed as
-    (_CHUNK, m * padded_d); once full, the next query seals it, rewriting
-    the same buffer as its transpose (m * padded_d, _CHUNK), so that one
-    sampled coordinate of 8 points is one 64-byte cache line.  The first
-    ``_sealed`` chunks are sealed.  Sealing changes no stored value.
+    Point i lives in chunk i // C, one float64 buffer of C * m * padded_d
+    entries, where the width C = chunk_width is set by the ensemble: the
+    largest power of two from 8 to 64 whose chunk fits in 8 MiB, and 8 when
+    none does.  A chunk is filled point-major, viewed as (C, m * padded_d);
+    once full, the next query seals it, rewriting the same buffer as its
+    transpose (m * padded_d, C), so that one sampled coordinate of C points
+    is C / 8 whole 64-byte cache lines.  The first ``_sealed`` chunks are
+    sealed.  Sealing changes no stored value; it holds one chunk of scratch.
+
+    A query runs one chunk at a time through a reused (C, k) block, so its
+    transient is about 3 * C * k * 8 bytes (the block, the gathered
+    coordinates and the quantile's partition) plus 24 bytes per stored
+    point for its outputs, whatever n is.
     """
 
     ensemble: RhtEnsemble
     n: int = field(default=0, init=False)
+    chunk_width: int = field(init=False)
     _chunks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
     _sealed: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        row_bytes = self.ensemble.diagonals.size * 8
+        self.chunk_width = 64
+        while self.chunk_width > 8 and self.chunk_width * row_bytes > _CHUNK_BYTES:
+            self.chunk_width //= 2
 
     @property
     def embeddings(self) -> list[Embedding]:
         """Copies of the stored embeddings, in insertion order (read-only)."""
         out = []
         for i in range(self.n):
-            c, r = divmod(i, _CHUNK)
+            c, r = divmod(i, self.chunk_width)
             values = self._chunks[c][:, r] if c < self._sealed else self._chunks[c][r]
             out.append(Embedding(values.copy(), self.ensemble.dim, self.ensemble.m))
         return out
@@ -124,7 +140,7 @@ def quantile(values, alpha: float):
 
 def psi(r, x, out=None):
     """Truncated magnitude min(|x|, r), vectorized; ``out=x`` works in place."""
-    if not np.all(np.asarray(r) >= 0.0):
+    if not (np.asarray(r) >= 0.0).all():
         raise ValueError(f"truncation radius must be >= 0, got {r}")
     return np.minimum(np.abs(x, out=out), r, out=out)
 
@@ -154,14 +170,15 @@ def insert(est: DistanceEstimator, x: np.ndarray) -> int:
     """Store the embedding of x; returns its index. Cost O(m d log d).
 
     x is embedded straight into its row of the newest chunk.  Every
-    _CHUNK-th insert allocates a new chunk, kept only once x has passed
+    chunk_width-th insert allocates a new chunk, kept only once x has passed
     embed_batch's checks, so a rejected x leaves the estimator unchanged.
     """
     z = np.asarray(x, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError(f"expected {est.ensemble.dim.logical_d} entries, got shape {z.shape}")
-    row = est.n % _CHUNK
-    chunk = est._chunks[-1] if row else np.empty((_CHUNK, est.ensemble.diagonals.size))
+    width = est.chunk_width
+    row = est.n % width
+    chunk = est._chunks[-1] if row else np.empty((width, est.ensemble.diagonals.size))
     embed_batch(est.ensemble, z[None, :], out=chunk[row : row + 1])
     if not row:
         est._chunks.append(chunk)
@@ -171,13 +188,14 @@ def insert(est: DistanceEstimator, x: np.ndarray) -> int:
 
 def _seal(est: DistanceEstimator) -> None:
     """Transpose every full, unsealed chunk in place through one scratch chunk."""
-    full = est.n // _CHUNK
+    width = est.chunk_width
+    full = est.n // width
     if est._sealed == full:
         return
-    scratch = np.empty((_CHUNK, est.ensemble.diagonals.size))
+    scratch = np.empty((width, est.ensemble.diagonals.size))
     for c in range(est._sealed, full):
         np.copyto(scratch, est._chunks[c])
-        est._chunks[c] = est._chunks[c].reshape(-1, _CHUNK)  # the same buffer
+        est._chunks[c] = est._chunks[c].reshape(-1, width)  # the same buffer
         np.copyto(est._chunks[c], scratch.T)
     est._sealed = full
 
@@ -198,7 +216,10 @@ def query(
     Returns a length-n float array; with return_details=True, a pair
     (estimates, QueryDetails).  Full chunks of the store are sealed first
     (see DistanceEstimator); that changes no result, and its one chunk of
-    scratch is freed before the gather.
+    scratch is freed before the gather.  Then each chunk in turn is gathered
+    and subtracted into one reused block, whose rows get their quantiles,
+    are truncated in place and are averaged into their slice of the
+    estimates; no n x k array is built.
     """
     y = embed(est.ensemble, q).values
     n = est.n
@@ -208,20 +229,26 @@ def query(
     indices = rng.integers(0, total, size=k)
     y_sel = y[indices]
     _seal(est)
-    # Row i of diffs is y_sel - stored_i[indices], as in a per-point loop.
-    diffs = np.empty((n, k), dtype=np.float64)
-    picked = np.empty((k, _CHUNK), dtype=np.float64)
-    for c in range(est._sealed):
-        # indices lie in range, so "clip" changes nothing; "raise" would
-        # write out through a temporary copy
-        np.take(est._chunks[c], indices, axis=0, out=picked, mode="clip")
-        np.subtract(y_sel, picked.T, out=diffs[c * _CHUNK : (c + 1) * _CHUNK])
-    lo = est._sealed * _CHUNK
-    if lo < n:
-        np.subtract(y_sel, est._chunks[-1][: n - lo, indices], out=diffs[lo:])
-    quantiles = quantile(diffs, params.alpha)
-    radii = np.maximum(0.0, 2.0 * math.sqrt(math.log(1.0 / params.eps)) * quantiles)
-    estimates = _SQRT_HALF_PI * np.mean(psi(radii[:, None], diffs, out=diffs), axis=1)
+    width = est.chunk_width
+    factor = 2.0 * math.sqrt(math.log(1.0 / params.eps))
+    estimates, quantiles, radii = (np.empty(n, dtype=np.float64) for _ in range(3))
+    # Row i of the block is y_sel - stored_i[indices], as in a per-point loop.
+    block = np.empty((min(width, n), k), dtype=np.float64)
+    picked = np.empty((k, width), dtype=np.float64) if est._sealed else None
+    for c, lo in enumerate(range(0, n, width)):
+        rows = slice(lo, min(lo + width, n))
+        diffs = block[: rows.stop - lo]
+        if c < est._sealed:
+            # indices lie in range, so "clip" changes nothing; "raise" would
+            # write out through a temporary copy
+            np.take(est._chunks[c], indices, axis=0, out=picked, mode="clip")
+            np.subtract(y_sel, picked.T, out=diffs)
+        else:
+            np.subtract(y_sel, est._chunks[c][: n - lo, indices], out=diffs)
+        quantiles[rows] = quantile(diffs, params.alpha)
+        np.maximum(0.0, factor * quantiles[rows], out=radii[rows])
+        np.mean(psi(radii[rows, None], diffs, out=diffs), axis=1, out=estimates[rows])
+    estimates *= _SQRT_HALF_PI
     if return_details:
         return estimates, QueryDetails(indices=indices, quantiles=quantiles, radii=radii)
     return estimates

@@ -177,16 +177,26 @@ def assert_bitwise_equal(got, expected):
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
-@pytest.mark.parametrize("d,m", [(5, 1), (20, 5), (64, 3)])
+# (d, m, chunk width): m * padded_d = 65792 floats make a 514 KiB row, so
+# only 8 rows fit in 8 MiB; m * padded_d = 1024 make an 8 KiB row, so 64 do.
+WIDTH_8 = (256, 257, 8)
+WIDTH_64 = (16, 64, 64)
+
+
+@pytest.mark.parametrize("d,m", [(5, 1), (8, 8), (20, 5), (64, 3), WIDTH_8[:2]])
 def test_chunked_store_matches_per_point_reference_across_chunk_boundaries(d, m):
-    # queries between inserts seal full chunks mid-stream; m * padded_d = 8
-    # at d=5, m=1 makes a point-major and a sealed chunk the same shape
+    # queries between inserts seal full chunks mid-stream; m * padded_d = 64
+    # at d=8, m=8 makes a point-major and a sealed chunk of 64 points the
+    # same shape
     ens_seed = d + m
     est = build_estimator(d, m, ens_seed)
+    width = est.chunk_width
+    assert width == (8 if (d, m) == WIDTH_8[:2] else 64)
     rng = np.random.default_rng(d)
-    pts = rng.normal(size=(17, d))
-    checkpoints = {0, 1, 7, 8, 9, 16, 17}
-    for n in range(18):
+    last = 2 * width + 1
+    pts = rng.normal(size=(last, d))
+    checkpoints = {0, 1, width - 1, width, width + 1, 2 * width, last}
+    for n in range(last + 1):
         if n in checkpoints:
             assert est.n == n
             q = rng.normal(size=d)
@@ -204,7 +214,7 @@ def test_chunked_store_matches_per_point_reference_across_chunk_boundaries(d, m)
                 assert_array_equal(emb.values, embed(est.ensemble, pts[i]).values)
                 emb.values[:] = 1e6  # a copy: the store does not see this
             assert_bitwise_equal(query(est, q, params), expected[0])
-        if n < 17:
+        if n < last:
             assert insert(est, pts[n]) == n
 
 
@@ -234,34 +244,58 @@ def test_rejected_insert_leaves_estimator_unchanged(before, bad, match):
         assert_bitwise_equal(got_details.radii, want_details.radii)
 
 
-def _query_peak(est, q, params):
+def _peak(fn, *args):
     tracemalloc.start()
     try:
-        query(est, q, params)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_query_peak_memory_is_two_blocks_plus_at_most_one_chunk():
-    # 1 MiB chunks (8 points of m * padded_d = 16384 floats); n = 20 leaves
-    # two full chunks for the first query to seal and a 4-point open chunk
-    d, m, n, k = 256, 64, 20, 4000
+def _steady_query_bound(est, q, k):
+    # One reused (C, k) block, the (k, C) gathered coordinates and the
+    # quantile's partition of the block, plus estimates, quantiles and radii;
+    # the slack is q's embedding, its k sampled entries and indices, and 64 KiB.
+    width = min(est.chunk_width, est.n)
+    return 3 * width * k * 8 + 24 * est.n + _peak(embed, est.ensemble, q) + 16 * k + (64 << 10)
+
+
+@pytest.mark.parametrize("d,m,width", [WIDTH_8, WIDTH_64])
+def test_sealing_query_adds_at_most_one_chunk(d, m, width):
+    # n = 2C + 4 leaves two full chunks for the first query to seal and a
+    # 4-point open chunk
+    n, k = 2 * width + 4, 4000
     est, _ = small_estimator(d=d, m=m, n=n)
-    chunk = 8 * 8 * m * 256
-    bound = 2 * n * k * 8 + k * 8 * 8 + (1 << 20)
+    assert est.chunk_width == width
+    chunk = width * est.ensemble.diagonals.size * 8
     q = streams.unit_vector(1, 99, d)
-    sealing = _query_peak(est, q, QueryParams(eps=0.1, delta=0.01, query_seed=1, k=k))
-    steady = _query_peak(est, q, QueryParams(eps=0.1, delta=0.01, query_seed=2, k=k))
+    sealing = _peak(query, est, q, QueryParams(eps=0.1, delta=0.01, query_seed=1, k=k))
+    steady = _peak(query, est, q, QueryParams(eps=0.1, delta=0.01, query_seed=2, k=k))
+    bound = _steady_query_bound(est, q, k)
     assert steady <= bound
     assert sealing <= bound + chunk
 
 
-def test_nine_inserts_allocate_two_chunks():
-    d, m = 256, 64
+@pytest.mark.parametrize("d,m,width", [WIDTH_8, WIDTH_64])
+@pytest.mark.parametrize("chunks", [1, 4])
+def test_query_memory_does_not_grow_with_n(d, m, width, chunks):
+    # n = C + 3 and n = 4C + 3; an n x k difference matrix breaks the bound
+    n, k = chunks * width + 3, 10000
+    est, _ = small_estimator(d=d, m=m, n=n)
+    assert est.chunk_width == width
+    q = streams.unit_vector(1, 99, d)
+    query(est, q, QueryParams(eps=0.1, delta=0.01, query_seed=1, k=k))  # seals
+    steady = _peak(query, est, q, QueryParams(eps=0.1, delta=0.01, query_seed=2, k=k))
+    assert steady <= _steady_query_bound(est, q, k)
+
+
+@pytest.mark.parametrize("d,m,width", [WIDTH_8, WIDTH_64])
+def test_width_plus_one_inserts_allocate_two_chunks(d, m, width):
     est = build_estimator(d, m, 0)
-    chunk = 8 * 8 * m * 256
-    pts = [streams.unit_vector(0, i, d) for i in range(9)]
+    assert est.chunk_width == width
+    chunk = width * est.ensemble.diagonals.size * 8
+    pts = [streams.unit_vector(0, i, d) for i in range(width + 1)]
     tracemalloc.start()
     try:
         for x in pts:

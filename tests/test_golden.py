@@ -1,0 +1,69 @@
+"""Committed SHA-256 digests of query outputs.
+
+The digests cover the raw little-endian bytes of every output, so values and
+sign bits both count.  Inputs come from Philox draws of random() - 0.5, and
+every output is built from IEEE add, subtract, multiply, selection and
+numpy's pairwise mean, so the digests hold on any platform numpy covers.  A
+change that moves one output names it in the failure.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rhtsketch import streams
+from rhtsketch.distance import QueryParams, build_estimator, insert, query
+
+# (d, m, points per storage chunk): rows of 514 KiB fit 8 to a chunk, rows
+# of 8 KiB fit 64.
+SHAPES = [(256, 257, 8), (16, 64, 64)]
+
+GOLDEN = {
+    (256, 257, 8): {
+        "indices": "8d4ac6c491bacb23da0074349d38b5fce2c5612c13865aa9f57e6ee31268bd0d",
+        "estimates": "ca88a33725de6ee1ec608edabb6c2382afa4710b423d9dd44bae58a35b8073d7",
+        "quantiles": "76766009a64cc255f6b443d6fedf1d63bd80cbf8125271bf815cc7975581c1d6",
+        "radii": "f3c09f8dcb6072cd6fa5962b07ac10dc60c7a42133b60f5a9c96ef58dddfb97b",
+    },
+    (16, 64, 64): {
+        "indices": "44cbf02508fa79128c260bf379f095afa85be24ef6d90f282b328fbeb7501af4",
+        "estimates": "8ca4e0024126e980165932e3ff42aadd106c58cd4b7cf3aef2a4259d79d34b39",
+        "quantiles": "4407936005b014d7e1a3fd2ce9c01bcef6161d4607d40d26769c1ec4ec3f2514",
+        "radii": "db78cf053aaec4f72fdb703d4019543a9591b5913a16f0fc8f29318293ea4112",
+    },
+}
+
+
+def _point(seed, index, d):
+    return streams.generator(seed, streams.VECTOR, index).random(d) - 0.5
+
+
+def query_digests(d, m, width):
+    """Digests of every query output, with queries between inserts."""
+    est = build_estimator(d, m, 11)
+    last = 2 * width + 1
+    checkpoints = {0, 1, width - 1, width, width + 1, 2 * width, last}
+    hashes = {name: hashlib.sha256() for name in GOLDEN[(d, m, width)]}
+    for n in range(last + 1):
+        if n in checkpoints:
+            params = QueryParams(eps=0.1, delta=0.01, query_seed=500 + n, k=101)
+            estimates, details = query(est, _point(2, n, d), params, return_details=True)
+            outputs = {
+                "indices": details.indices.astype("<i8"),
+                "estimates": estimates.astype("<f8"),
+                "quantiles": details.quantiles.astype("<f8"),
+                "radii": details.radii.astype("<f8"),
+            }
+            for name, values in outputs.items():
+                hashes[name].update(values.tobytes())
+        if n < last:
+            insert(est, _point(1, n, d))
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"d{s[0]}-m{s[1]}-width{s[2]}")
+def test_query_outputs_match_golden_digests(shape):
+    got = query_digests(*shape)
+    moved = sorted(name for name, digest in GOLDEN[shape].items() if got[name] != digest)
+    assert not moved, f"query outputs moved at d, m, width = {shape}: {', '.join(moved)}"
