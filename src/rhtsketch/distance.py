@@ -107,7 +107,7 @@ class DistanceEstimator:
         for i in range(self.n):
             c, r = divmod(i, self.chunk_width)
             values = self._chunks[c][:, r] if c < self._sealed else self._chunks[c][r]
-            out.append(Embedding(values.copy(), self.ensemble.dim, self.ensemble.m))
+            out.append(Embedding(values.copy()))
         return out
 
 

@@ -35,16 +35,13 @@ class RhtEnsemble:
 
 @dataclass(frozen=True)
 class Embedding:
-    """The stacked blocks H(D^j z), flattened to length m * padded_d."""
+    """embed's result: the blocks H(D^j z) of one z, stacked and flattened.
+
+    ``values`` has length m * padded_d; block j is entries
+    [j * padded_d, (j + 1) * padded_d).
+    """
 
     values: np.ndarray
-    source_dim: HadamardDim
-    m: int
-
-    def block(self, j: int) -> np.ndarray:
-        """View of block j, entries [j*padded_d, (j+1)*padded_d)."""
-        d = self.source_dim.padded_d
-        return self.values[j * d : (j + 1) * d]
 
 
 def build_ensemble(logical_d: int, m: int, seed: int) -> RhtEnsemble:
@@ -99,9 +96,9 @@ def embed(ensemble: RhtEnsemble, z: np.ndarray, *, serial: bool = False) -> Embe
     """Compute the stacked embedding of z, zero-padding to padded_d.
 
     This is row 0 of embed_batch.  ``serial=True`` transforms the blocks one
-    at a time instead; the two paths are bit-identical (the butterfly applies
-    the same elementwise operations either way) and both exist so that
-    determinism under parallel scheduling stays testable.
+    at a time instead: it is the per-block reference that the batched
+    butterfly is checked against, bit for bit (the butterfly applies the same
+    elementwise operations either way).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
@@ -112,7 +109,7 @@ def embed(ensemble: RhtEnsemble, z: np.ndarray, *, serial: bool = False) -> Embe
             fwht_in_place(block)
     else:
         values = embed_batch(ensemble, z[None, :])[0]
-    return Embedding(values=values.reshape(-1), source_dim=ensemble.dim, m=ensemble.m)
+    return Embedding(values.reshape(-1))
 
 
 def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarray:

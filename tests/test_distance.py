@@ -218,13 +218,22 @@ def test_chunked_store_matches_per_point_reference_across_chunk_boundaries(d, m)
             assert insert(est, pts[n]) == n
 
 
-@pytest.mark.parametrize("before", [0, 3, 8, 16])
+# Chunk width C of the d=20, m=6 estimator below (64): rejecting at C and 2C
+# refuses a point that would open a later chunk, at C - 1 one that would fill
+# the first.
+REJECT_WIDTH = build_estimator(20, 6, 1).chunk_width
+
+
+@pytest.mark.parametrize(
+    "before", [0, 3, 8, 16, REJECT_WIDTH - 1, REJECT_WIDTH, 2 * REJECT_WIDTH]
+)
 @pytest.mark.parametrize(
     "bad,match",
     [(np.full(20, np.nan), "finite"), (np.zeros(19), "entries"), (np.zeros((1, 20)), "entries")],
 )
 def test_rejected_insert_leaves_estimator_unchanged(before, bad, match):
-    pts = np.random.default_rng(before).normal(size=(20, 20))
+    n = 2 * REJECT_WIDTH + 2
+    pts = np.random.default_rng(before).normal(size=(n, 20))
     clean, probed = build_estimator(20, 6, 1), build_estimator(20, 6, 1)
     for i, x in enumerate(pts):
         if i == before:
@@ -233,7 +242,7 @@ def test_rejected_insert_leaves_estimator_unchanged(before, bad, match):
             assert probed.n == i
         insert(clean, x)
         insert(probed, x)
-    assert probed.n == clean.n == 20
+    assert probed.n == clean.n == n
     for seed in range(2):
         q = np.random.default_rng(50 + seed).normal(size=20)
         params = QueryParams(eps=0.1, delta=0.01, query_seed=seed, k=300)

@@ -62,7 +62,7 @@ def test_embed_basis_vector_gives_constant_blocks():
     e1 = np.zeros(8); e1[0] = 1.0
     emb = embed(ens, e1)
     for j in range(5):
-        assert_array_equal(emb.block(j), np.full(8, ens.diagonals[j, 0]))
+        assert_array_equal(emb.values.reshape(5, 8)[j], np.full(8, ens.diagonals[j, 0]))
 
 
 def test_embed_matches_naive_oracle():
@@ -73,7 +73,7 @@ def test_embed_matches_naive_oracle():
     emb = embed(ens, z)
     for j in range(m):
         expected = naive_hadamard_apply(ens.diagonals[j] * z)
-        assert_allclose(emb.block(j), expected, rtol=1e-12, atol=1e-13)
+        assert_allclose(emb.values.reshape(m, d)[j], expected, rtol=1e-12, atol=1e-13)
 
 
 def test_embed_linearity():

@@ -1,19 +1,44 @@
-"""Committed SHA-256 digests of query outputs.
+"""Committed SHA-256 digests of transform, embedding and query outputs.
 
 The digests cover the raw little-endian bytes of every output, so values and
 sign bits both count.  Inputs come from Philox draws of random() - 0.5, and
 every output is built from IEEE add, subtract, multiply, selection and
-numpy's pairwise mean, so the digests hold on any platform numpy covers.  A
+numpy's pairwise mean, so the digests hold on any platform numpy covers.
+Nothing goes through BLAS or a transcendental, apart from the diagonals'
+normal draws: numpy's ziggurat sampler calls exp and log1p on its rare wedge
+and tail draws, and numpy keeps that stream the same across platforms.  A
 change that moves one output names it in the failure.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from rhtsketch import streams
 from rhtsketch.distance import QueryParams, build_estimator, insert, query
+from rhtsketch.ensemble import build_ensemble, embed, embed_batch
+from rhtsketch.hadamard import fwht_in_place
+
+# Buffer shapes for fwht_in_place: a lone entry, one row tiled narrower than
+# its length, a 301-run single tile, a ragged last tile (160 runs of 256 in
+# tiles of 64) and a 3-D buffer.
+FWHT_SHAPES = [(1, 1), (1, 256), (3, 1024), (301, 32), (5, 8192), (2, 3, 64)]
+
+# (logical d, m, rows) for the embedding paths; all three pad d.
+EMBED_SHAPES = [(5, 3, 4), (20, 6, 3), (200, 17, 3)]
+
+# The three embedding paths are bit-identical, so they share one digest.
+EMBEDDINGS = "3c6a0c863978d15bfd5aeb95ae947e1cd1e06441c90c11c75643a46bbc0d5a07"
+
+TRANSFORM_GOLDEN = {
+    "stream_rows": "7902b5fa827293fd1e8ae52fe2cce9a72855e4ac91eb78e08ef2bac5bc208a4a",
+    "fwht_in_place": "e8dda4c023fe796fba1d095f0fd81993f3e522b06a4d59bb40dad14e9829e70c",
+    "embed": EMBEDDINGS,
+    "embed_serial": EMBEDDINGS,
+    "embed_batch": EMBEDDINGS,
+}
 
 # (d, m, points per storage chunk): rows of 514 KiB fit 8 to a chunk, rows
 # of 8 KiB fit 64.
@@ -37,6 +62,41 @@ GOLDEN = {
 
 def _point(seed, index, d):
     return streams.generator(seed, streams.VECTOR, index).random(d) - 0.5
+
+
+def transform_outputs(name):
+    """The arrays that the digest of ``name`` covers."""
+    if name == "stream_rows":
+        return [
+            streams.stream_rows(7, streams.DIAGONAL, 5, 33, np.random.Generator.standard_normal),
+            streams.stream_rows(7, streams.PHASE, 3, 1000, np.random.Generator.random),
+        ]
+    if name == "fwht_in_place":
+        return [
+            fwht_in_place(_point(3, i, math.prod(shape)).reshape(shape))
+            for i, shape in enumerate(FWHT_SHAPES)
+        ]
+    out = []
+    for i, (d, m, rows) in enumerate(EMBED_SHAPES):
+        ens = build_ensemble(d, m, 5 + i)
+        zs = np.stack([_point(4 + i, r, d) for r in range(rows)])
+        if name == "embed_batch":
+            out.append(embed_batch(ens, zs))
+        else:
+            out.extend(embed(ens, z, serial=name == "embed_serial").values for z in zs)
+    return out
+
+
+def transform_digest(name):
+    h = hashlib.sha256()
+    for values in transform_outputs(name):
+        h.update(values.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_GOLDEN))
+def test_transform_outputs_match_golden_digests(name):
+    assert transform_digest(name) == TRANSFORM_GOLDEN[name], f"{name} outputs moved"
 
 
 def query_digests(d, m, width):
