@@ -218,8 +218,8 @@ def query(
     (see DistanceEstimator); that changes no result, and its one chunk of
     scratch is freed before the gather.  Then each chunk in turn is gathered
     and subtracted into one reused block, whose rows get their quantiles,
-    are truncated in place and are averaged into their slice of the
-    estimates; no n x k array is built.
+    are truncated in place and are summed into their slice of the
+    estimates; the sums are divided by k once, and no n x k array is built.
     """
     y = embed(est.ensemble, q).values
     n = est.n
@@ -247,7 +247,8 @@ def query(
             np.subtract(y_sel, est._chunks[c][: n - lo, indices], out=diffs)
         quantiles[rows] = quantile(diffs, params.alpha)
         np.maximum(0.0, factor * quantiles[rows], out=radii[rows])
-        np.mean(psi(radii[rows, None], diffs, out=diffs), axis=1, out=estimates[rows])
+        np.add.reduce(psi(radii[rows, None], diffs, out=diffs), axis=1, out=estimates[rows])
+    estimates /= k  # as np.mean divides its sum, without its per-call cost
     estimates *= _SQRT_HALF_PI
     if return_details:
         return estimates, QueryDetails(indices=indices, quantiles=quantiles, radii=radii)

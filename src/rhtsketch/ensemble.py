@@ -119,10 +119,10 @@ def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarra
     butterfly applies the same elementwise operations per row.  The rows are
     multiplied into the output and transformed there in place, so memory is
     the n * m * padded_d output plus n * padded_d floats of padded input
-    plus the butterfly's one 128 KiB tile.  ``out``, a C-contiguous float64
-    (n, m * padded_d) array, receives the embeddings in place of a new
-    array, and the result is a view of it; zs is checked before ``out`` is
-    written.
+    plus the butterfly's one tile of at most 512 KiB.  ``out``, a
+    C-contiguous float64 (n, m * padded_d) array, receives the embeddings
+    in place of a new array, and the result is a view of it; zs is checked
+    before ``out`` is written.
     """
     blocks = _scaled_blocks(ensemble, zs, out)
     fwht_in_place(blocks)

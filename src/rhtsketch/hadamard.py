@@ -36,8 +36,9 @@ def next_pow2(logical_d: int) -> HadamardDim:
     return HadamardDim(logical_d=int(logical_d), padded_d=padded)
 
 
-# One scratch tile per call: 128 KiB stays in cache and leaves peak RSS flat.
-_TILE_BYTES = 128 << 10
+# One scratch tile per call: 512 KiB, a quarter of a 2 MiB per-core L2, gives
+# every butterfly add long inner loops and leaves peak RSS flat.
+_TILE_BYTES = 512 << 10
 
 
 def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
@@ -48,9 +49,11 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     exactly: every butterfly step is an add, a multiply by -2, and an add,
     all of which are exact in float64 until entries approach 2**53.
     Stages h < c run on runs of c entries copied, transposed, into one tile
-    of at most 128 KiB, the rest on the buffer; c = min(n, 256), halved
-    while the buffer holds fewer than c / 4 runs.  Each element sees the same
-    operations in the same order either way.  Returns ``buffer``.
+    of at most 512 KiB, the rest on the buffer; c = min(n, 256), halved
+    while the buffer holds fewer than c / 4 runs.  When the runs span
+    several tiles, each holds one run fewer than fits, so that its row
+    stride is not a power of two (such strides share L1 sets).  Tiling
+    changes no element's operations or their order.  Returns ``buffer``.
     """
     if not isinstance(buffer, np.ndarray):
         raise TypeError("fwht_in_place needs an ndarray to mutate")
@@ -63,7 +66,8 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     while c * c > 4 * buffer.size and c > 1:  # keep >= c / 4 runs per tile
         c //= 2
     runs = buffer.reshape(-1, c)
-    cols = max(1, min(len(runs), _TILE_BYTES // (c * buffer.itemsize)))
+    most = _TILE_BYTES // (c * buffer.itemsize)
+    cols = max(1, len(runs) if len(runs) <= most else most - 1)
     scratch = np.empty(c * cols, dtype=buffer.dtype)
     # numpy would copy the strided halves through up to 192 KiB of iterator
     # buffers, slower than the adds; no operand needs a cast, so go direct.

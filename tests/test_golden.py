@@ -22,9 +22,15 @@ from rhtsketch.ensemble import build_ensemble, embed, embed_batch
 from rhtsketch.hadamard import fwht_in_place
 
 # Buffer shapes for fwht_in_place: a lone entry, one row tiled narrower than
-# its length, a 301-run single tile, a ragged last tile (160 runs of 256 in
-# tiles of 64) and a 3-D buffer.
+# its length, a 301-run single tile, a 160-run single tile of runs of 256 and
+# a 3-D buffer.
 FWHT_SHAPES = [(1, 1), (1, 256), (3, 1024), (301, 32), (5, 8192), (2, 3, 64)]
+
+# Buffers that span several 512 KiB tiles with an uneven last tile:
+# 4 x 255 + 65, 14 x 511 + 412 and 5 x 1023 + 885 runs.
+FWHT_TILE_SHAPES = [(1085, 256), (7566, 128), (3, 2000, 64)]
+
+FWHT_BUFFERS = {"fwht_in_place": FWHT_SHAPES, "fwht_in_place_tiles": FWHT_TILE_SHAPES}
 
 # (logical d, m, rows) for the embedding paths; all three pad d.
 EMBED_SHAPES = [(5, 3, 4), (20, 6, 3), (200, 17, 3)]
@@ -35,6 +41,7 @@ EMBEDDINGS = "3c6a0c863978d15bfd5aeb95ae947e1cd1e06441c90c11c75643a46bbc0d5a07"
 TRANSFORM_GOLDEN = {
     "stream_rows": "7902b5fa827293fd1e8ae52fe2cce9a72855e4ac91eb78e08ef2bac5bc208a4a",
     "fwht_in_place": "e8dda4c023fe796fba1d095f0fd81993f3e522b06a4d59bb40dad14e9829e70c",
+    "fwht_in_place_tiles": "6844048302c927d6b6693e59b69b1663af4ad32586988b46c6e6d4f58fc4ff8a",
     "embed": EMBEDDINGS,
     "embed_serial": EMBEDDINGS,
     "embed_batch": EMBEDDINGS,
@@ -71,10 +78,10 @@ def transform_outputs(name):
             streams.stream_rows(7, streams.DIAGONAL, 5, 33, np.random.Generator.standard_normal),
             streams.stream_rows(7, streams.PHASE, 3, 1000, np.random.Generator.random),
         ]
-    if name == "fwht_in_place":
+    if name in FWHT_BUFFERS:
         return [
             fwht_in_place(_point(3, i, math.prod(shape)).reshape(shape))
-            for i, shape in enumerate(FWHT_SHAPES)
+            for i, shape in enumerate(FWHT_BUFFERS[name])
         ]
     out = []
     for i, (d, m, rows) in enumerate(EMBED_SHAPES):
