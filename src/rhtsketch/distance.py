@@ -20,14 +20,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import streams
 from .ensemble import Embedding, RhtEnsemble, build_ensemble, embed, embed_batch
 from .report import DeviationReport
 
-# Truncation quantile level: the CDF of a standard normal at 3.
-DEFAULT_ALPHA = float(ndtr(3.0))
+# Truncation quantile level: the CDF of a standard normal at 3,
+# float(scipy.special.ndtr(3.0)), written out so importing needs no scipy.
+DEFAULT_ALPHA = 0.9986501019683699
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 

@@ -7,7 +7,6 @@ length m * padded_d; each entry is marginally N(0, ||z||^2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,38 +149,3 @@ def distortion_check(
         norm = np.linalg.norm(embed(ensemble, diff).values)
         worst = max(worst, abs(norm / (scale * gap) - 1.0))
     return float(worst)
-
-
-def save_ensemble_header(ensemble: RhtEnsemble, path: str) -> None:
-    """Persist the ensemble as a JSON header; diagonals are never serialized."""
-    header = {
-        "schema_version": SCHEMA_VERSION,
-        "logical_d": ensemble.dim.logical_d,
-        "padded_d": ensemble.dim.padded_d,
-        "m": ensemble.m,
-        "seed": ensemble.seed,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_ensemble(path: str) -> RhtEnsemble:
-    """Rebuild an ensemble from its JSON header, regenerating the diagonals."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    if not isinstance(header, dict):
-        raise ValueError(f"header is not a JSON object: {header!r}")
-    version = header.get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version: {version!r}")
-    for name in ("logical_d", "padded_d", "m", "seed"):
-        value = header.get(name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"header field {name!r} is missing or not an integer: {value!r}")
-    if next_pow2(header["logical_d"]).padded_d != header["padded_d"]:
-        raise ValueError(
-            f"header padded_d {header['padded_d']} inconsistent with "
-            f"logical_d {header['logical_d']}"
-        )
-    return build_ensemble(header["logical_d"], header["m"], header["seed"])

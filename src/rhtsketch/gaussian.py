@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 GH_DEGREE = 127
 
@@ -43,6 +41,8 @@ class ScalarFunctional:
 
 def std_normal_cdf(t):
     """Standard normal CDF, vectorized."""
+    from scipy.special import ndtr
+
     return ndtr(t)
 
 
@@ -73,6 +73,8 @@ def gauss_hermite_expectation(
 def _piecewise_expectation(f: ScalarFunctional, sigma: float) -> float:
     # Integrate f(u) * pdf(u / sigma) / sigma on segments split at the kinks;
     # quad handles the infinite tails per segment.
+    from scipy import integrate
+
     def integrand(u: float) -> float:
         t = u / sigma
         return float(f.eval(np.float64(u))) * np.exp(-0.5 * t * t) / (
@@ -157,7 +159,7 @@ def _truncated_abs_mean(r: float, sigma: float) -> float:
     t = r / sigma
     return float(
         sigma * np.sqrt(2.0 / np.pi) * (1.0 - np.exp(-0.5 * t * t))
-        + 2.0 * r * (1.0 - ndtr(t))
+        + 2.0 * r * (1.0 - std_normal_cdf(t))
     )
 
 

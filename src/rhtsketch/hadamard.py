@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,8 @@ def hadamard_sign_matrix(d: int) -> np.ndarray:
     """The dense d x d +-1 matrix, H[k, i] = (-1)^popcount(k & i)."""
     if d < 1 or (d & (d - 1)) != 0:
         raise ValueError(f"order must be a power of two, got {d}")
+    import scipy.linalg
+
     return scipy.linalg.hadamard(d, dtype=np.float64)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import ndtr
 
 from rhtsketch import streams
 from rhtsketch.distance import (
@@ -118,7 +119,7 @@ def test_query_params_validation(kwargs):
 
 
 def test_default_alpha_is_cdf_at_three():
-    assert abs(DEFAULT_ALPHA - 0.9986501019683699) < 1e-15
+    assert DEFAULT_ALPHA == float(ndtr(3.0))
 
 
 # --- build / insert / query ----------------------------------------------

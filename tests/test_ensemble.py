@@ -10,8 +10,6 @@ from rhtsketch.ensemble import (
     distortion_check,
     embed,
     embed_batch,
-    load_ensemble,
-    save_ensemble_header,
 )
 from rhtsketch.hadamard import naive_hadamard_apply
 
@@ -231,44 +229,3 @@ def test_distortion_rejects_degenerate_input():
     x = streams.unit_vector(0, 0, 8)
     with pytest.raises(ValueError, match="coincident"):
         distortion_check(ens, [(x, x.copy())])
-
-
-def test_persistence_round_trip(tmp_path):
-    path = str(tmp_path / "ensemble.json")
-    ens = build_ensemble(12, 9, 77)
-    save_ensemble_header(ens, path)
-    loaded = load_ensemble(path)
-    assert loaded.dim == ens.dim and loaded.m == ens.m and loaded.seed == ens.seed
-    assert_array_equal(loaded.diagonals, ens.diagonals)
-
-
-def test_persistence_rejects_corrupt_header(tmp_path):
-    path = str(tmp_path / "bad.json")
-    path2 = str(tmp_path / "bad2.json")
-    with open(path, "w") as fh:
-        fh.write('{"schema_version": 99, "logical_d": 4, "padded_d": 4, "m": 1, "seed": 0}')
-    with pytest.raises(ValueError, match="schema_version"):
-        load_ensemble(path)
-    with open(path2, "w") as fh:
-        fh.write('{"schema_version": 1, "logical_d": 5, "padded_d": 4, "m": 1, "seed": 0}')
-    with pytest.raises(ValueError, match="inconsistent"):
-        load_ensemble(path2)
-    for bad, field in (
-        ('"logical_d": 4, "padded_d": 4, "m": "3", "seed": 0', "'m'"),
-        ('"logical_d": 4, "padded_d": 4, "m": 1', "'seed'"),
-        ('"logical_d": 4.0, "padded_d": 4, "m": 1, "seed": 0', "'logical_d'"),
-    ):
-        with open(path, "w") as fh:
-            fh.write('{"schema_version": 1, ' + bad + "}")
-        with pytest.raises(ValueError, match=field):
-            load_ensemble(path)
-    for text, match in (
-        ("[]", "JSON object"),
-        ("5", "JSON object"),
-        ('{"schema_version": true, "logical_d": 4, "padded_d": 4, "m": 1, "seed": 0}',
-         "schema_version"),
-    ):
-        with open(path, "w") as fh:
-            fh.write(text)
-        with pytest.raises(ValueError, match=match):
-            load_ensemble(path)

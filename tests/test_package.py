@@ -35,17 +35,25 @@ def test_import_as_yields_the_features_module():
     assert f is sys.modules["rhtsketch.features"]
 
 
-def test_package_import_loads_only_the_bound_modules():
-    # cli and csvio stay unloaded: `python -m rhtsketch.cli` must not find
-    # its own module already imported.
+def _loaded_after(statement):
+    """Names of rhtsketch and scipy modules loaded by ``statement`` in a fresh interpreter."""
     probe = _python(
         "-c",
-        "import sys, rhtsketch; "
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('rhtsketch.'))))",
+        f"import sys; {statement}; "
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith('rhtsketch.') or m.split('.')[0] == 'scipy')))",
     )
     assert probe.returncode == 0, probe.stderr
-    loaded = set(probe.stdout.split())
+    return set(probe.stdout.split())
+
+
+def test_package_import_loads_only_the_bound_modules():
+    # cli and csvio stay unloaded: `python -m rhtsketch.cli` must not find
+    # its own module already imported.  No scipy module loads either: only
+    # the calls that need scipy import it.
+    loaded = _loaded_after("import rhtsketch")
     assert loaded == {f"rhtsketch.{name}" for name in MODULES} | {"rhtsketch.streams"}
+    assert not any(m.split(".")[0] == "scipy" for m in _loaded_after("import rhtsketch.cli"))
 
 
 def test_cli_module_runs_without_warnings():
