@@ -25,7 +25,7 @@ from .distance import (
     insert,
     query,
 )
-from .ensemble import SCHEMA_VERSION, build_ensemble, distortion_check, embed
+from .ensemble import build_ensemble, distortion_check, embed
 from .features import build_feature_map, default_feature_blocks, kernel_error_sweep
 from .gaussian import cosine_functional
 from .hadamard import fwht_in_place, hadamard_sign_matrix, next_pow2
@@ -39,6 +39,8 @@ from .lab import (
     test_vector_suite,
 )
 from .report import write_csv_rows
+
+SCHEMA_VERSION = 1  # of the JSON reports
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -14,8 +14,6 @@ import numpy as np
 from . import streams
 from .hadamard import HadamardDim, fwht_in_place, next_pow2
 
-SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class RhtEnsemble:

@@ -46,12 +46,6 @@ def std_normal_cdf(t):
     return ndtr(t)
 
 
-def std_normal_pdf(t):
-    """Standard normal density, vectorized."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-
-
 def _gh_nodes(degree: int) -> tuple[np.ndarray, np.ndarray]:
     if degree not in _gh_cache:
         _gh_cache[degree] = np.polynomial.hermite.hermgauss(degree)

@@ -136,16 +136,22 @@ def test_criterion_4_kernel_approximation(capsys):
 
     # KER-DEC identity over the same pairs, batched for speed: row p of
     # embed_batch is bit-identical to embed, so these terms match the
-    # per-pair helper exactly (spot-checked below).
+    # per-pair helper exactly (spot-checked below).  Pairs go through one
+    # reused buffer a block of rows at a time, so memory stays at one block.
     idx_i, idx_j = np.triu_indices(n)
-    emb = embed_batch(fmap.ensemble, pts[idx_i] + pts[idx_j])
-    emb += 2.0 * fmap.phases
-    np.cos(emb, out=emb)
-    sum_terms = emb.mean(axis=1)
-    emb = embed_batch(fmap.ensemble, pts[idx_i] - pts[idx_j])
-    np.cos(emb, out=emb)
-    diff_terms = emb.mean(axis=1)
-    del emb
+    sum_terms, diff_terms = np.empty(len(idx_i)), np.empty(len(idx_i))
+    twice_phases = 2.0 * fmap.phases
+    buf = np.empty((32, fmap.ensemble.diagonals.size))
+    for lo in range(0, len(idx_i), len(buf)):
+        pairs = slice(lo, lo + len(buf))
+        xs, ys = pts[idx_i[pairs]], pts[idx_j[pairs]]
+        emb = embed_batch(fmap.ensemble, xs + ys, out=buf[: len(xs)])
+        emb += twice_phases
+        np.cos(emb, out=emb)
+        sum_terms[pairs] = emb.mean(axis=1)
+        emb = embed_batch(fmap.ensemble, xs - ys, out=buf[: len(xs)])
+        np.cos(emb, out=emb)
+        diff_terms[pairs] = emb.mean(axis=1)
     rows = np.stack([features(fmap, p) for p in pts])
     approx = np.array(
         [np.dot(rows[i], rows[j]) for i, j in zip(idx_i, idx_j)]

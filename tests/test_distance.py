@@ -219,6 +219,51 @@ def test_chunked_store_matches_per_point_reference_across_chunk_boundaries(d, m)
             assert insert(est, pts[n]) == n
 
 
+def assert_query_matches_reference(est, pts, q, params):
+    indices, expected = reference_query(est.ensemble, pts, q, params)
+    estimates, details = query(est, q, params, return_details=True)
+    assert_array_equal(details.indices, indices)
+    for got, want in zip((estimates, details.quantiles, details.radii), expected):
+        assert_bitwise_equal(got, want)
+
+
+@pytest.mark.parametrize("d,m,width", [WIDTH_8, WIDTH_64])
+def test_query_sealing_several_chunks_matches_reference(d, m, width):
+    # n = 3C + 5: the first query seals three chunks at once and leaves a
+    # 5-point open chunk
+    est, pts = small_estimator(d=d, m=m, n=3 * width + 5)
+    assert est.chunk_width == width
+    q = streams.unit_vector(1, 99, d)
+    params = QueryParams(eps=0.1, delta=0.01, query_seed=5, k=97)
+    assert_query_matches_reference(est, pts, q, params)
+    assert est._sealed == 3
+
+
+@pytest.mark.parametrize("d,m,width", [WIDTH_8, WIDTH_64])
+def test_seal_refused_its_scratch_leaves_store_consistent(d, m, width, monkeypatch):
+    est, pts = small_estimator(d=d, m=m, n=3 * width + 5)
+    assert est.chunk_width == width
+    chunk_shape = (width, est.ensemble.diagonals.size)
+    empty = np.empty
+
+    def refuse_chunk(shape, *args, **kwargs):
+        if shape == chunk_shape:
+            raise MemoryError("no room for a chunk")
+        return empty(shape, *args, **kwargs)
+
+    q = streams.unit_vector(1, 99, d)
+    params = QueryParams(eps=0.1, delta=0.01, query_seed=5, k=97)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", refuse_chunk)
+        with pytest.raises(MemoryError):
+            query(est, q, params)
+    assert est._sealed == 0
+    for i, emb in enumerate(est.embeddings):
+        assert_array_equal(emb.values, embed(est.ensemble, pts[i]).values)
+    assert_query_matches_reference(est, pts, q, params)
+    assert est._sealed == 3
+
+
 # Chunk width C of the d=20, m=6 estimator below (64): rejecting at C and 2C
 # refuses a point that would open a later chunk, at C - 1 one that would fill
 # the first.
@@ -274,13 +319,22 @@ def _steady_query_bound(est, q, k):
 @pytest.mark.parametrize("d,m,width", [WIDTH_8, WIDTH_64])
 def test_sealing_query_adds_at_most_one_chunk(d, m, width):
     # n = 2C + 4 leaves two full chunks for the first query to seal and a
-    # 4-point open chunk
+    # 4-point open chunk.  Tracing starts before the inserts, so the frees of
+    # the point-major chunks count, and the sealing query's peak is measured
+    # from the traced size just before it.
     n, k = 2 * width + 4, 4000
-    est, _ = small_estimator(d=d, m=m, n=n)
+    q = streams.unit_vector(1, 99, d)
+    tracemalloc.start()
+    try:
+        est, _ = small_estimator(d=d, m=m, n=n)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        query(est, q, QueryParams(eps=0.1, delta=0.01, query_seed=1, k=k))
+        sealing = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
     assert est.chunk_width == width
     chunk = width * est.ensemble.diagonals.size * 8
-    q = streams.unit_vector(1, 99, d)
-    sealing = _peak(query, est, q, QueryParams(eps=0.1, delta=0.01, query_seed=1, k=k))
     steady = _peak(query, est, q, QueryParams(eps=0.1, delta=0.01, query_seed=2, k=k))
     bound = _steady_query_bound(est, q, k)
     assert steady <= bound

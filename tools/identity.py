@@ -3,13 +3,15 @@
 Usage: python tools/identity.py [REF]   (REF defaults to HEAD)
 
 Extracts ``git archive REF`` into a temporary directory, then runs the same
-nine CLI cases there and in the working tree: ``verify`` at two shapes,
-``kernel`` on generated and on CSV points, ``distest`` plain and with
-``--stress`` under both adversaries, ``lowerbound``, and ``bench``.  Each case
-is written as JSON and as CSV, to stdout and through ``--output``: 36
-outputs per tree.  Before the byte comparison, ``runtime_ms`` is zeroed and
-``bench``'s timing values are masked (its ``d`` column is kept).  Prints one
-verdict line and exits 0 when every output matches, 1 otherwise.
+ten CLI cases there and in the working tree: ``verify`` at two shapes,
+``kernel`` on generated and on CSV points, ``distest`` plain, with
+``--stress`` under both adversaries, and at ``--m 1100`` (chunks of 32 points,
+so the first query seals two chunks at once and 6 points stay point-major),
+``lowerbound``, and ``bench``.  Each case is written as JSON and as CSV, to
+stdout and through ``--output``: 40 outputs per tree.  Before the byte
+comparison, ``runtime_ms`` is zeroed and ``bench``'s timing values are masked
+(its ``d`` column is kept).  Prints one verdict line and exits 0 when every
+output matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ CASES = {
                               "--m", "40", "--stress", "6", "--adversary", "greedy-feedback"],
     "distest-stress-basis": ["distest", "--input", "{points}", "--query", "{queries}",
                              "--m", "40", "--stress", "6", "--adversary", "basis"],
+    "distest-chunks": ["distest", "--input", "{points}", "--query", "{queries}", "--m", "1100"],
     "lowerbound": ["lowerbound", "--d", "32", "--m", "8", "--trials", "40"],
     "bench": ["bench", "--d", "1024", "--m", "2"],
 }
