@@ -20,26 +20,36 @@ def _parse_row(row: list[str], line_no: int) -> list[float]:
 
 
 def read_points_csv(path: str) -> np.ndarray:
-    """Load an (n, d) matrix of finite floats; a leading non-numeric row is skipped."""
+    """Load an (n, d) matrix of finite floats from UTF-8 text.
+
+    A leading byte-order mark is dropped, and a non-numeric first non-blank
+    row is skipped as a header.
+    """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from None
+    rows: list[list[float]] = []
+    header_seen = False
     with fh:
-        reader = csv.reader(fh)
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            try:
-                values = _parse_row(row, line_no)
-            except CsvFormatError:
-                if line_no == 1:
-                    continue  # header row
-                raise
-            if not all(map(math.isfinite, values)):
-                raise CsvFormatError(f"line {line_no}: non-finite cell")
-            rows.append(values)
+        try:
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                if not row or all(cell.strip() == "" for cell in row):
+                    continue
+                try:
+                    values = _parse_row(row, line_no)
+                except CsvFormatError:
+                    if rows or header_seen:
+                        raise
+                    header_seen = True
+                    continue
+                if not all(map(math.isfinite, values)):
+                    raise CsvFormatError(f"line {line_no}: non-finite cell")
+                rows.append(values)
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text ({exc})") from None
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     width = len(rows[0])

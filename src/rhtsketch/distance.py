@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -47,24 +47,23 @@ def check_open_half(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class QueryParams:
-    """Per-query accuracy knobs.
+    """The accuracy target, sample count and seed of one query.
 
     k defaults (at query time) to default_sample_count(n, eps, delta).
     query_seed must be fresh per query; reusing one reuses the sampled
-    coordinate set.
+    coordinate set.  The truncation quantile level alpha is DEFAULT_ALPHA
+    for every query.
     """
 
     eps: float
     delta: float
     query_seed: int
     k: Optional[int] = None
-    alpha: float = DEFAULT_ALPHA
+    alpha: ClassVar[float] = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
         check_open_half("eps", self.eps)
         check_open_half("delta", self.delta)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
 

@@ -61,10 +61,16 @@ def build_ensemble(logical_d: int, m: int, seed: int) -> RhtEnsemble:
     return RhtEnsemble(dim=dim, m=m, seed=int(seed), diagonals=diagonals)
 
 
-def _scaled_blocks(ensemble: RhtEnsemble, zs: np.ndarray, out=None) -> np.ndarray:
-    """The (n, m, padded_d) products D^j z_i, z_i zero-padded to padded_d.
+def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarray:
+    """Embeddings for the rows of zs, as an (n, m * padded_d) matrix.
 
-    Written into embed_batch's ``out`` when given, else into a new array.
+    Row i is bit-identical to embed(ensemble, zs[i]).values.  The products
+    D^j z_i, z_i zero-padded to padded_d, are multiplied into the output and
+    transformed there in place, so memory is the n * m * padded_d output
+    plus n * padded_d floats of padded input plus the butterfly's one tile
+    of at most 512 KiB.  ``out``, a C-contiguous float64 (n, m * padded_d)
+    array, receives the embeddings in place of a new array, and is
+    returned; zs is checked before ``out`` is written.
     """
     zs = np.asarray(zs, dtype=np.float64)
     if zs.ndim != 2 or zs.shape[1] != ensemble.dim.logical_d:
@@ -82,48 +88,25 @@ def _scaled_blocks(ensemble: RhtEnsemble, zs: np.ndarray, out=None) -> np.ndarra
         and out.flags.c_contiguous
     ):
         raise ValueError(f"out must be a C-contiguous float64 array of shape {rows}")
-    out = out.reshape((len(zs),) + ensemble.diagonals.shape)  # a view: out is C-contiguous
+    blocks = out.reshape((len(zs),) + ensemble.diagonals.shape)  # a view: out is C-contiguous
     padded = np.zeros((zs.shape[0], ensemble.dim.padded_d), dtype=np.float64)
     padded[:, : ensemble.dim.logical_d] = zs
-    np.multiply(ensemble.diagonals, padded[:, None, :], out=out)
+    np.multiply(ensemble.diagonals, padded[:, None, :], out=blocks)
+    fwht_in_place(blocks)
     return out
 
 
-def embed(ensemble: RhtEnsemble, z: np.ndarray, *, serial: bool = False) -> Embedding:
+def embed(ensemble: RhtEnsemble, z: np.ndarray) -> Embedding:
     """Compute the stacked embedding of z, zero-padding to padded_d.
 
-    This is row 0 of embed_batch.  ``serial=True`` transforms the blocks one
-    at a time instead: it is the per-block reference that the batched
-    butterfly is checked against, bit for bit (the butterfly applies the same
-    elementwise operations either way).
+    This is row 0 of embed_batch.  It is bit-identical to transforming the
+    blocks D^j z one at a time, the per-block reference the tests check it
+    against: the batched butterfly applies the same elementwise operations.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError(f"expected {ensemble.dim.logical_d} entries, got shape {z.shape}")
-    if serial:
-        values = _scaled_blocks(ensemble, z[None, :])[0]
-        for block in values:
-            fwht_in_place(block)
-    else:
-        values = embed_batch(ensemble, z[None, :])[0]
-    return Embedding(values.reshape(-1))
-
-
-def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarray:
-    """Embeddings for the rows of zs, as an (n, m * padded_d) matrix.
-
-    Row i is bit-identical to embed(ensemble, zs[i]).values: the batched
-    butterfly applies the same elementwise operations per row.  The rows are
-    multiplied into the output and transformed there in place, so memory is
-    the n * m * padded_d output plus n * padded_d floats of padded input
-    plus the butterfly's one tile of at most 512 KiB.  ``out``, a
-    C-contiguous float64 (n, m * padded_d) array, receives the embeddings
-    in place of a new array, and the result is a view of it; zs is checked
-    before ``out`` is written.
-    """
-    blocks = _scaled_blocks(ensemble, zs, out)
-    fwht_in_place(blocks)
-    return blocks.reshape(-1, ensemble.diagonals.size)
+    return Embedding(embed_batch(ensemble, z[None, :])[0])
 
 
 def distortion_check(

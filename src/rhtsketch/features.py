@@ -62,22 +62,17 @@ def features(fmap: FourierFeatureMap, x: np.ndarray) -> np.ndarray:
     return rows if x.ndim == 2 else rows[0]
 
 
-def approx_kernel(fmap: FourierFeatureMap, x: np.ndarray, y: np.ndarray) -> float:
-    """<features(x), features(y)>, the kernel estimate."""
-    return float(np.dot(features(fmap, x), features(fmap, y)))
-
-
 def kerdec_decompose(
     fmap: FourierFeatureMap, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, float]:
     """Split the kernel estimate into its phase and difference terms.
 
-    Product-to-sum on the feature cosines gives
-        approx_kernel(x, y) = mean cos(embedding(x+y) + 2b)
-                            + mean cos(embedding(x-y)),
+    Product-to-sum on the feature cosines gives the kernel estimate
+        <features(x), features(y)> = mean cos(embedding(x+y) + 2b)
+                                   + mean cos(embedding(x-y)),
     the first term carrying all the phase randomness and the second only the
     difference vector.  Returns (sum_term, diff_term); their total matches
-    approx_kernel to 1e-10 (the gap is pure roundoff via linearity of the
+    the estimate to 1e-10 (the gap is pure roundoff via linearity of the
     embedding).
     """
     ens = fmap.ensemble
@@ -89,7 +84,7 @@ def kerdec_decompose(
 
 
 def kernel_error_sweep(fmap: FourierFeatureMap, points: list[np.ndarray]) -> DeviationReport:
-    """|approx_kernel - exact kernel| over all pairs of the given points.
+    """|kernel estimate - exact kernel| over all pairs of the given points.
 
     Covers every unordered pair including (i, i); the report carries the max,
     per-pair deviations, and a 10-bin histogram of the errors.

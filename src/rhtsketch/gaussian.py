@@ -10,8 +10,9 @@ piecewise between kinks instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -19,24 +20,21 @@ GH_DEGREE = 127
 
 _SQRT_PI = np.sqrt(np.pi)
 _SQRT_2 = np.sqrt(2.0)
-_gh_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
 class ScalarFunctional:
-    """A 1-Lipschitz scalar function with optional analytic metadata.
+    """A 1-Lipschitz scalar function and where it has kinks.
 
     ``eval`` must be vectorized over ndarrays.  ``kinks`` lists the points
     where the function is not smooth; an empty tuple routes integration
     through Gauss-Hermite, a nonempty one through piecewise quadrature.
-    ``closed_form`` when present maps sigma to E[f(N(0, sigma^2))].
     """
 
     label: str
     eval: Callable[[np.ndarray], np.ndarray]
     lipschitz_constant: float
     kinks: tuple[float, ...] = ()
-    closed_form: Optional[Callable[[float], float]] = None
 
 
 def std_normal_cdf(t):
@@ -46,21 +44,18 @@ def std_normal_cdf(t):
     return ndtr(t)
 
 
-def _gh_nodes(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    if degree not in _gh_cache:
-        _gh_cache[degree] = np.polynomial.hermite.hermgauss(degree)
-    return _gh_cache[degree]
+@functools.cache
+def _gh_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.hermite.hermgauss(GH_DEGREE)
 
 
-def gauss_hermite_expectation(
-    f: ScalarFunctional, sigma: float, degree: int = GH_DEGREE
-) -> float:
-    """E[f(N(0, sigma^2))] by a degree-``degree`` Gauss-Hermite rule.
+def gauss_hermite_expectation(f: ScalarFunctional, sigma: float) -> float:
+    """E[f(N(0, sigma^2))] by the degree-127 Gauss-Hermite rule.
 
     Exposed separately so the kink problem stays observable: calling this on
     a kinked functional is allowed, just inaccurate.
     """
-    nodes, weights = _gh_nodes(degree)
+    nodes, weights = _gh_nodes()
     return float(weights @ f.eval(_SQRT_2 * sigma * nodes) / _SQRT_PI)
 
 
@@ -91,7 +86,7 @@ def gaussian_expectation(f: ScalarFunctional, sigma: float) -> float:
 
     sigma = 0 degenerates to f(0).  Smooth functionals use Gauss-Hermite,
     kinked ones piecewise adaptive quadrature; both land within 1e-8 of the
-    closed forms this package ships.
+    closed forms the tests check them against.
     """
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
@@ -102,13 +97,6 @@ def gaussian_expectation(f: ScalarFunctional, sigma: float) -> float:
     return gauss_hermite_expectation(f, sigma)
 
 
-def quadrature_drift(f: ScalarFunctional, sigma: float) -> float:
-    """|GH at degree 127 - GH at degree 254|, the degree-doubling guard."""
-    lo = gauss_hermite_expectation(f, sigma, GH_DEGREE)
-    hi = gauss_hermite_expectation(f, sigma, 2 * GH_DEGREE)
-    return abs(hi - lo)
-
-
 def rbf_kernel(x: np.ndarray, y: np.ndarray) -> float:
     """exp(-||x - y||^2 / 2)."""
     diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
@@ -117,54 +105,4 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray) -> float:
 
 def cosine_functional() -> ScalarFunctional:
     """cos, with E[cos(N(0, s^2))] = exp(-s^2 / 2)."""
-    return ScalarFunctional(
-        label="cos",
-        eval=np.cos,
-        lipschitz_constant=1.0,
-        closed_form=lambda sigma: float(np.exp(-0.5 * sigma * sigma)),
-    )
-
-
-def identity_functional() -> ScalarFunctional:
-    return ScalarFunctional(
-        label="identity",
-        eval=lambda x: np.asarray(x, dtype=np.float64) + 0.0,
-        lipschitz_constant=1.0,
-        closed_form=lambda sigma: 0.0,
-    )
-
-
-def abs_functional() -> ScalarFunctional:
-    """|x|, with E|N(0, s^2)| = s * sqrt(2/pi)."""
-    return ScalarFunctional(
-        label="abs",
-        eval=np.abs,
-        lipschitz_constant=1.0,
-        kinks=(0.0,),
-        closed_form=lambda sigma: float(sigma * np.sqrt(2.0 / np.pi)),
-    )
-
-
-def _truncated_abs_mean(r: float, sigma: float) -> float:
-    # E min(|Z|, r) = sigma*sqrt(2/pi)*(1 - exp(-r^2/(2 sigma^2)))
-    #                 + 2*r*(1 - Phi(r/sigma))
-    if sigma == 0.0:
-        return 0.0
-    t = r / sigma
-    return float(
-        sigma * np.sqrt(2.0 / np.pi) * (1.0 - np.exp(-0.5 * t * t))
-        + 2.0 * r * (1.0 - std_normal_cdf(t))
-    )
-
-
-def truncated_abs_functional(r: float) -> ScalarFunctional:
-    """min(|x|, r), the clipped magnitude used by the distance estimator."""
-    if not np.isfinite(r) or r < 0:
-        raise ValueError(f"truncation radius must be finite and >= 0, got {r}")
-    return ScalarFunctional(
-        label=f"truncated_abs[{r:g}]",
-        eval=lambda x, _r=r: np.minimum(np.abs(x), _r),
-        lipschitz_constant=1.0,
-        kinks=(-r, 0.0, r) if r > 0 else (0.0,),
-        closed_form=lambda sigma, _r=r: _truncated_abs_mean(_r, sigma),
-    )
+    return ScalarFunctional(label="cos", eval=np.cos, lipschitz_constant=1.0)

@@ -104,11 +104,3 @@ def hadamard_sign_matrix(d: int) -> np.ndarray:
     import scipy.linalg
 
     return scipy.linalg.hadamard(d, dtype=np.float64)
-
-
-def naive_hadamard_apply(x: np.ndarray) -> np.ndarray:
-    """O(d^2) reference: multiply by the dense sign matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("naive apply expects a 1-D vector")
-    return hadamard_sign_matrix(x.shape[0]) @ x

@@ -240,6 +240,14 @@ def test_non_finite_csv_cell_is_format_error(capsys, tmp_path):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_non_utf8_csv_is_format_error(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,2\n\xff\xfe3,4\n")
+    code = run(["distest", "--input", str(bad), "--query", str(bad), "--m", "4"])
+    assert code == EXIT_BAD_CSV
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_missing_file_is_format_error(capsys, tmp_path):
     q = write_csv(tmp_path / "q.csv", [[1.0, 0.0]])
     code = run(["distest", "--input", str(tmp_path / "nope.csv"), "--query", q])

@@ -58,3 +58,34 @@ def test_header_only_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(CsvFormatError):
         read_points_csv(str(tmp_path / "absent.csv"))
+
+
+def test_header_after_leading_blank_lines_is_skipped(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("\n\nx,y\n1.0,2.0\n")
+    assert_array_equal(read_points_csv(str(path)), [[1.0, 2.0]])
+    # only the first non-blank row may be a header
+    path.write_text("\nx,y\nu,v\n1.0,2.0\n")
+    with pytest.raises(CsvFormatError, match="line 3"):
+        read_points_csv(str(path))
+
+
+def test_byte_order_mark_keeps_the_first_row(tmp_path):
+    # spreadsheet exports start UTF-8 files with a BOM
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+    assert_array_equal(read_points_csv(str(path)), [[1, 2], [3, 4], [5, 6]])
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"1,2\n\xff\xfe3,4\n")
+    with pytest.raises(CsvFormatError, match="UTF-8"):
+        read_points_csv(str(path))
+
+
+def test_cell_over_the_csv_field_limit_rejected(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("1," + "1" * 200_000 + "\n")
+    with pytest.raises(CsvFormatError, match="field limit"):
+        read_points_csv(str(path))

@@ -107,8 +107,7 @@ def test_default_counts():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"eps": 0.0}, {"eps": 0.5}, {"delta": 0.0}, {"delta": 0.7},
-        {"alpha": 0.0}, {"alpha": 1.0}, {"k": 0},
+        {"eps": 0.0}, {"eps": 0.5}, {"delta": 0.0}, {"delta": 0.7}, {"k": 0},
     ],
 )
 def test_query_params_validation(kwargs):

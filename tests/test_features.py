@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from rhtsketch import streams
 from rhtsketch.ensemble import build_ensemble
 from rhtsketch.features import (
-    approx_kernel,
     build_feature_map,
     default_feature_blocks,
     features,
@@ -13,6 +12,8 @@ from rhtsketch.features import (
     kernel_error_sweep,
 )
 from rhtsketch.gaussian import rbf_kernel
+
+from oracles import approx_kernel
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,8 @@ from rhtsketch.distance import QueryParams, build_estimator, insert, query
 from rhtsketch.ensemble import build_ensemble, embed, embed_batch
 from rhtsketch.hadamard import fwht_in_place
 
+from oracles import embed_serial
+
 # Buffer shapes for fwht_in_place: a lone entry, one row tiled narrower than
 # its length, a 301-run single tile, a 160-run single tile of runs of 256 and
 # a 3-D buffer.
@@ -89,8 +91,10 @@ def transform_outputs(name):
         zs = np.stack([_point(4 + i, r, d) for r in range(rows)])
         if name == "embed_batch":
             out.append(embed_batch(ens, zs))
+        elif name == "embed_serial":
+            out.extend(embed_serial(ens, z) for z in zs)
         else:
-            out.extend(embed(ens, z, serial=name == "embed_serial").values for z in zs)
+            out.extend(embed(ens, z).values for z in zs)
     return out
 
 

@@ -11,9 +11,10 @@ from rhtsketch.hadamard import (
     HadamardDim,
     fwht_in_place,
     hadamard_sign_matrix,
-    naive_hadamard_apply,
     next_pow2,
 )
+
+from oracles import naive_hadamard_apply
 
 POW2_UP_TO_256 = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
@@ -178,11 +179,6 @@ def test_next_pow2_rejects_nonpositive(bad):
 def test_next_pow2_rejects_huge():
     with pytest.raises(ValueError, match="too large"):
         next_pow2(1 << 60)
-
-
-def test_naive_rejects_matrix_input():
-    with pytest.raises(ValueError):
-        naive_hadamard_apply(np.zeros((4, 4)))
 
 
 def test_sign_matrix_rejects_non_power_of_two():
