@@ -109,6 +109,8 @@ def test_default_counts():
     [
         {"eps": 0.0}, {"eps": 0.5}, {"delta": 0.0}, {"delta": 0.7}, {"k": 0},
     ],
+    # kwargs4 and kwargs5 were the alpha cases, gone with the alpha init field
+    ids=["kwargs0", "kwargs1", "kwargs2", "kwargs3", "kwargs6"],
 )
 def test_query_params_validation(kwargs):
     base = {"eps": 0.1, "delta": 0.01, "query_seed": 0}
