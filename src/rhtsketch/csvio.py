@@ -32,19 +32,19 @@ def read_points_csv(path: str) -> np.ndarray:
     rows: list[list[float]] = []
     header_seen = False
     with fh:
-        try:
-            for line_no, row in enumerate(csv.reader(fh), start=1):
+        try:  # line_num counts file lines, which a quoted cell can span
+            for row in (reader := csv.reader(fh)):
                 if not row or all(cell.strip() == "" for cell in row):
                     continue
                 try:
-                    values = _parse_row(row, line_no)
+                    values = _parse_row(row, reader.line_num)
                 except CsvFormatError:
                     if rows or header_seen:
                         raise
                     header_seen = True
                     continue
                 if not all(map(math.isfinite, values)):
-                    raise CsvFormatError(f"line {line_no}: non-finite cell")
+                    raise CsvFormatError(f"line {reader.line_num}: non-finite cell")
                 rows.append(values)
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"{path}: not UTF-8 text ({exc})") from None

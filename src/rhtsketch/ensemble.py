@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
+from . import hadamard, streams
 from .hadamard import HadamardDim, fwht_in_place, next_pow2
 
 
@@ -67,10 +67,11 @@ def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarra
     Row i is bit-identical to embed(ensemble, zs[i]).values.  The products
     D^j z_i, z_i zero-padded to padded_d, are multiplied into the output and
     transformed there in place, so memory is the n * m * padded_d output
-    plus n * padded_d floats of padded input plus the butterfly's one tile
-    of at most 512 KiB.  ``out``, a C-contiguous float64 (n, m * padded_d)
-    array, receives the embeddings in place of a new array, and is
-    returned; zs is checked before ``out`` is written.
+    plus n * padded_d floats of padded input plus the butterfly's 512 KiB
+    tile per worker thread; the multiply is split as fwht_in_place splits,
+    by rows (blocks when n = 1).  ``out``, a C-contiguous float64
+    (n, m * padded_d) array, receives the embeddings in place of a new
+    array, and is returned; zs is checked before ``out`` is written.
     """
     zs = np.asarray(zs, dtype=np.float64)
     if zs.ndim != 2 or zs.shape[1] != ensemble.dim.logical_d:
@@ -91,7 +92,16 @@ def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarra
     blocks = out.reshape((len(zs),) + ensemble.diagonals.shape)  # a view: out is C-contiguous
     padded = np.zeros((zs.shape[0], ensemble.dim.padded_d), dtype=np.float64)
     padded[:, : ensemble.dim.logical_d] = zs
-    np.multiply(ensemble.diagonals, padded[:, None, :], out=blocks)
+    count = len(zs) if len(zs) > 1 else ensemble.m
+    parts = min(hadamard._WORKERS, count, out.nbytes // hadamard._TILE_BYTES)
+    if parts < 2:
+        np.multiply(ensemble.diagonals, padded[:, None, :], out=blocks)
+    elif len(zs) > 1:
+        hadamard._split(lambda i, a, b: np.multiply(
+            ensemble.diagonals, padded[a:b, None, :], out=blocks[a:b]), count, parts)
+    else:
+        hadamard._split(lambda i, a, b: np.multiply(
+            ensemble.diagonals[a:b], padded, out=blocks[0, a:b]), count, parts)
     fwht_in_place(blocks)
     return out
 

@@ -7,6 +7,8 @@ isometry apply their own normalization.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +37,22 @@ def next_pow2(logical_d: int) -> HadamardDim:
     return HadamardDim(logical_d=int(logical_d), padded_d=padded)
 
 
-# One scratch tile per call: 512 KiB, a quarter of a 2 MiB per-core L2, gives
-# every butterfly add long inner loops and leaves peak RSS flat.
+# One scratch tile per worker: 512 KiB, a quarter of a 2 MiB per-core L2,
+# gives every butterfly add long inner loops and leaves peak RSS flat.
 _TILE_BYTES = 512 << 10
+
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@functools.cache
+def _pool():
+    """Threads that, with the caller, make one per CPU in the affinity mask."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(_WORKERS - 1)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)  # a child has none of the threads
 
 
 def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
@@ -47,12 +62,13 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     (the butterfly works on reshaped views).  Integer-valued inputs transform
     exactly: every butterfly step is an add, a multiply by -2, and an add,
     all of which are exact in float64 until entries approach 2**53.
-    Stages h < c run on runs of c entries copied, transposed, into one tile
+    Stages h < c run on runs of c entries copied, transposed, into a tile
     of at most 512 KiB, the rest on the buffer; c = min(n, 256), halved
     while the buffer holds fewer than c / 4 runs.  When the runs span
     several tiles, each holds one run fewer than fits, so that its row
-    stride is not a power of two (such strides share L1 sets).  Tiling
-    changes no element's operations or their order.  Returns ``buffer``.
+    stride is not a power of two (such strides share L1 sets).  Buffers of
+    two or more tiles are split by rows over worker threads, one tile each
+    (workers * 512 KiB), no element's operations changing.  Returns ``buffer``.
     """
     if not isinstance(buffer, np.ndarray):
         raise TypeError("fwht_in_place needs an ndarray to mutate")
@@ -64,10 +80,35 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     c = min(n, 256)
     while c * c > 4 * buffer.size and c > 1:  # keep >= c / 4 runs per tile
         c //= 2
-    runs = buffer.reshape(-1, c)
+    runs = buffer.size // c
     most = _TILE_BYTES // (c * buffer.itemsize)
-    cols = max(1, len(runs) if len(runs) <= most else most - 1)
-    scratch = np.empty(c * cols, dtype=buffer.dtype)
+    cols = max(1, runs if runs <= most else most - 1)
+    rows = buffer.reshape(-1, n)
+    parts = min(_WORKERS, len(rows), buffer.nbytes // _TILE_BYTES)
+    if parts < 2:
+        _transform(rows, np.empty(c * cols, dtype=buffer.dtype), c, cols)
+        return buffer
+    tiles = [np.empty(c * cols, dtype=buffer.dtype) for _ in range(parts)]
+    _split(lambda i, a, b: _transform(rows[a:b], tiles[i], c, cols), len(rows), parts)
+    return buffer
+
+
+def _split(fn, count: int, parts: int) -> None:
+    """fn(i, start, stop) on ``parts`` >= 2 ranges of range(count), range 0 on this
+    thread; waits for all even if one raises.  fn must call no public name."""
+    bounds = [count * i // parts for i in range(parts + 1)]
+    futures = [_pool().submit(fn, i, bounds[i], bounds[i + 1]) for i in range(1, parts)]
+    try:
+        fn(0, 0, bounds[1])
+    finally:
+        errors = [future.exception() for future in futures]  # waits for each
+    for error in filter(None, errors):
+        raise error
+
+
+def _transform(rows: np.ndarray, scratch: np.ndarray, c: int, cols: int) -> None:
+    """fwht_in_place on the C-contiguous ``rows``, tiles of cols runs in scratch."""
+    runs = rows.reshape(-1, c)
     # numpy would copy the strided halves through up to 192 KiB of iterator
     # buffers, slower than the adds; no operand needs a cast, so go direct.
     bufsize = np.setbufsize(16)
@@ -78,10 +119,9 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
             np.copyto(tile, block.T)
             _butterfly(tile, len(block), 1, c)
             np.copyto(block, tile.T)
-        _butterfly(buffer, 1, c, n)
+        _butterfly(rows, 1, c, rows.shape[-1])
     finally:
         np.setbufsize(bufsize)
-    return buffer
 
 
 def _butterfly(array: np.ndarray, unit: int, h: int, stop: int) -> None:

@@ -41,6 +41,16 @@ def test_non_finite_cells_rejected_with_line_number(tmp_path):
             read_points_csv(str(path))
 
 
+def test_errors_name_the_file_line_after_a_multi_line_cell(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text('"x\ny",z\n1,2\n3,nan\n')
+    with pytest.raises(CsvFormatError, match="line 4: non-finite"):
+        read_points_csv(str(path))
+    path.write_text('"x\ny",z\n1,2\n3,oops\n')
+    with pytest.raises(CsvFormatError, match="line 4: non-numeric"):
+        read_points_csv(str(path))
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("")

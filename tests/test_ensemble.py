@@ -1,10 +1,14 @@
+import os
+import signal
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rhtsketch import ensemble, streams
+from rhtsketch import ensemble, hadamard, streams
 from rhtsketch.ensemble import (
     build_ensemble,
     distortion_check,
@@ -127,11 +131,42 @@ def test_embed_batch_matches_embed_bit_exactly():
                     assert_array_equal(np.signbit(batch[i]), np.signbit(row))
 
 
-def test_embed_batch_peak_memory_is_output_plus_padded_input():
+# (logical d, m, rows) whose outputs span at least three 512 KiB tiles, so
+# that 2 and 3 workers split them: one row split over its 1001 blocks, and 7
+# rows, which no worker count above 1 divides evenly.
+SPLIT_SHAPES = [(200, 1001, 1), (50, 601, 7)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("d,m,rows", SPLIT_SHAPES)
+def test_split_embed_batch_matches_per_block_reference(d, m, rows, workers, pin_workers, monkeypatch):
+    pin_workers(workers)
+    split = []
+    real = hadamard._split
+    monkeypatch.setattr(hadamard, "_split", lambda fn, count, parts: (
+        split.append((count, parts)), real(fn, count, parts)))
+    ens = build_ensemble(d, m, 8)
+    zs = np.stack([streams.gaussian_block(8, streams.VECTOR, i, d) for i in range(rows)])
+    zs[0, 0] = -0.0
+    batch = embed_batch(ens, zs)
+    parts = min(workers, 3)
+    # the multiply over rows, or over blocks for one row, then the transform
+    assert split == ([] if workers == 1 else [(m if rows == 1 else rows, parts), (rows * m, parts)])
+    for i in range(rows):
+        row = embed_serial(ens, zs[i])
+        assert_array_equal(batch[i], row)
+        assert_array_equal(np.signbit(batch[i]), np.signbit(row))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_embed_batch_peak_memory_is_output_plus_padded_input(workers, pin_workers):
     # no full-size temporary beside the output: tracemalloc's peak stays
-    # within the output, the n x padded_d padded copy of the input and 1 MiB
+    # within the output, the n x padded_d padded copy of the input, one
+    # 512 KiB tile per worker and 512 KiB
+    pin_workers(workers)
     ens = build_ensemble(50, 256, 0)
     zs = np.stack([streams.gaussian_block(0, streams.VECTOR, i, 50) for i in range(32)])
+    embed_batch(ens, zs)  # a split call builds the pool outside the trace
     tracemalloc.start()
     try:
         out = embed_batch(ens, zs)
@@ -139,7 +174,34 @@ def test_embed_batch_peak_memory_is_output_plus_padded_input():
     finally:
         tracemalloc.stop()
     assert out.nbytes == 32 * 256 * 64 * 8
-    assert peak <= out.nbytes + 32 * 64 * 8 + (1 << 20)
+    assert peak <= out.nbytes + 32 * 64 * 8 + workers * hadamard._TILE_BYTES + (512 << 10)
+
+
+def test_forked_child_runs_its_own_split(pin_workers):
+    # the child inherits the parent's started pool without its threads; it
+    # must build its own rather than wait on threads that do not exist
+    pin_workers(2)
+    ens = build_ensemble(128, 600, 1)
+    zs = np.stack([streams.gaussian_block(1, streams.VECTOR, i, 128) for i in range(2)])
+    want = embed_batch(ens, zs)
+    assert hadamard._pool.cache_info().currsize == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with live threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(embed_batch(ens, zs), want) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("forked child still blocked after 30 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_embed_batch_writes_into_out():

@@ -37,6 +37,10 @@ FWHT_BUFFERS = {"fwht_in_place": FWHT_SHAPES, "fwht_in_place_tiles": FWHT_TILE_S
 # (logical d, m, rows) for the embedding paths; all three pad d.
 EMBED_SHAPES = [(5, 3, 4), (20, 6, 3), (200, 17, 3)]
 
+# (logical d, m, rows) whose embed_batch outputs span three 512 KiB tiles,
+# so that 2 and 3 workers split them: one row over its blocks, and 7 rows.
+EMBED_SPLIT_SHAPES = [(200, 1001, 1), (50, 601, 7)]
+
 # The three embedding paths are bit-identical, so they share one digest.
 EMBEDDINGS = "3c6a0c863978d15bfd5aeb95ae947e1cd1e06441c90c11c75643a46bbc0d5a07"
 
@@ -47,6 +51,7 @@ TRANSFORM_GOLDEN = {
     "embed": EMBEDDINGS,
     "embed_serial": EMBEDDINGS,
     "embed_batch": EMBEDDINGS,
+    "embed_batch_split": "13d29df5c7f07d93ec8d708210d59702d797e42353c25e904b6e7f1e0acb0719",
 }
 
 # (d, m, points per storage chunk): rows of 514 KiB fit 8 to a chunk, rows
@@ -85,6 +90,12 @@ def transform_outputs(name):
             fwht_in_place(_point(3, i, math.prod(shape)).reshape(shape))
             for i, shape in enumerate(FWHT_BUFFERS[name])
         ]
+    if name == "embed_batch_split":
+        out = []
+        for i, (d, m, rows) in enumerate(EMBED_SPLIT_SHAPES):
+            ens = build_ensemble(d, m, 8 + i)
+            out.append(embed_batch(ens, np.stack([_point(9 + i, r, d) for r in range(rows)])))
+        return out
     out = []
     for i, (d, m, rows) in enumerate(EMBED_SHAPES):
         ens = build_ensemble(d, m, 5 + i)
@@ -108,6 +119,12 @@ def transform_digest(name):
 @pytest.mark.parametrize("name", sorted(TRANSFORM_GOLDEN))
 def test_transform_outputs_match_golden_digests(name):
     assert transform_digest(name) == TRANSFORM_GOLDEN[name], f"{name} outputs moved"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_embeddings_match_golden_digest_at_each_worker_count(workers, pin_workers):
+    pin_workers(workers)
+    assert transform_digest("embed_batch_split") == TRANSFORM_GOLDEN["embed_batch_split"]
 
 
 def query_digests(d, m, width):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from unittest import mock
 
@@ -135,18 +136,59 @@ def test_tiled_fwht_bit_identical_to_per_row_butterfly(tile_bytes, lead, log_d, 
     assert_array_equal(out_ints, exact.reshape(ints.shape).astype(np.float64))
 
 
-@pytest.mark.parametrize("shape", [(40, 100, 64), (8, 16, 256), (2, 65536), (3000, 32)])
-def test_fwht_peak_memory_is_one_tile(shape):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tiled_fwht_bit_identical_at_each_worker_count(workers, pin_workers):
+    # the patched tile sizes make most of its buffers span several tiles,
+    # so at 2 and 3 workers they are split by rows
+    pin_workers(workers)
+    test_tiled_fwht_bit_identical_to_per_row_butterfly()
+
+
+MEMORY_SHAPES = [(40, 100, 64), (8, 16, 256), (2, 65536), (3000, 32)]
+
+
+def _fwht_peak(shape):
     buf = np.random.default_rng(0).standard_normal(shape)
     bufsize = np.getbufsize()
+    fwht_in_place(buf.copy())  # a split call builds the pool outside the trace
     tracemalloc.start()
     try:
         fwht_in_place(buf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= hadamard._TILE_BYTES + (64 << 10)
     assert np.getbufsize() == bufsize
+    return peak
+
+
+@pytest.mark.parametrize("shape", MEMORY_SHAPES)
+def test_fwht_peak_memory_is_one_tile(shape, pin_workers):
+    pin_workers(1)
+    assert _fwht_peak(shape) <= hadamard._TILE_BYTES + (64 << 10)
+
+
+@pytest.mark.parametrize("shape", MEMORY_SHAPES)
+def test_fwht_peak_memory_is_one_tile_per_worker(shape, pin_workers):
+    # (40, 100, 64) and (2, 65536) are split in two, each half with its tile
+    pin_workers(2)
+    assert _fwht_peak(shape) <= 2 * hadamard._TILE_BYTES + (64 << 10)
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_split_waits_for_every_range_and_reraises(bad, pin_workers):
+    # range 0 runs on the calling thread, range 1 on a pool thread
+    pin_workers(3)
+    done = []
+
+    def part(i, start, stop):
+        time.sleep(0.05 * i)
+        done.append((start, stop))
+        if i == bad:
+            raise RuntimeError(f"range {i}")
+
+    with pytest.raises(RuntimeError, match=f"range {bad}"):
+        hadamard._split(part, 10, 3)
+    assert sorted(done) == [(0, 3), (3, 6), (6, 10)]
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 12, 100])

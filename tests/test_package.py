@@ -56,6 +56,18 @@ def test_package_import_loads_only_the_bound_modules():
     assert not any(m.split(".")[0] == "scipy" for m in _loaded_after("import rhtsketch.cli"))
 
 
+def test_package_import_loads_no_thread_pool():
+    # concurrent.futures loads with the first split transform, not before
+    probe = _python(
+        "-c",
+        "import sys, numpy, rhtsketch; print('concurrent.futures' in sys.modules); "
+        "rhtsketch.hadamard._WORKERS = 2; rhtsketch.hadamard.fwht_in_place(numpy.zeros((2, 1 << 16))); "
+        "print('concurrent.futures' in sys.modules)",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["False", "True"]
+
+
 def test_cli_module_runs_without_warnings():
     done = _python("-W", "error", "-m", "rhtsketch.cli", "--help")
     assert done.returncode == 0, done.stderr

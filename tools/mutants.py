@@ -30,6 +30,8 @@ QUERY_GOLDEN = "tests/test_golden.py::test_query_outputs_match_golden_digests"
 SEVERAL = "tests/test_distance.py::test_query_sealing_several_chunks_matches_reference"
 REFUSED = "tests/test_distance.py::test_seal_refused_its_scratch_leaves_store_consistent"
 REJECTED = "tests/test_distance.py::test_rejected_insert_leaves_estimator_unchanged"
+SPLIT = "tests/test_ensemble.py::test_split_embed_batch_matches_per_block_reference"
+SPLIT_GOLDEN = "tests/test_golden.py::test_split_embeddings_match_golden_digest_at_each_worker_count"
 
 # name: (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -50,6 +52,21 @@ MUTANTS = {
         "tile = scratch[: block.size].reshape(c, len(block))",
         "tile = scratch.reshape(c, cols)[:, : len(block)]",
         [f"{GOLDEN}[fwht_in_place_tiles]"],
+    ),
+    "split drops its last range": (
+        "src/rhtsketch/hadamard.py",
+        "for i in range(1, parts)]",
+        "for i in range(1, parts - 1)]",
+        [f"{SPLIT}[200-1001-1-2]", f"{SPLIT}[50-601-7-3]", f"{SPLIT_GOLDEN}[2]",
+         f"{SPLIT_GOLDEN}[3]",
+         "tests/test_hadamard.py::test_tiled_fwht_bit_identical_at_each_worker_count[2]"],
+    ),
+    "single-row multiply takes the wrong diagonal slice": (
+        "src/rhtsketch/ensemble.py",
+        "ensemble.diagonals[a:b], padded",
+        "ensemble.diagonals[: b - a], padded",
+        [f"{SPLIT}[200-1001-1-2]", f"{SPLIT}[200-1001-1-3]", f"{SPLIT_GOLDEN}[2]",
+         f"{SPLIT_GOLDEN}[3]"],
     ),
     "seal reads one chunk ahead": (
         "src/rhtsketch/distance.py",
