@@ -81,10 +81,11 @@ class DistanceEstimator:
     is C / 8 whole 64-byte cache lines.  The first ``_sealed`` chunks are
     sealed.  Sealing changes no stored value; it holds one chunk of scratch.
 
-    A query runs one chunk at a time through a reused (C, k) block, so its
-    transient is about 3 * C * k * 8 bytes (the block, the gathered
-    coordinates and the quantile's partition) plus 24 bytes per stored
-    point for its outputs, whatever n is.
+    Inserts and queries embed their point through embed_batch, a 512 KiB
+    tile per worker thread.  A query runs one chunk at a time through a
+    reused (C, k) block, so its transient is about 3 * C * k * 8 bytes (the
+    block, the gathered coordinates and the quantile's partition) plus 24
+    bytes per stored point for its outputs, whatever n is.
     """
 
     ensemble: RhtEnsemble

@@ -67,11 +67,10 @@ def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarra
     Row i is bit-identical to embed(ensemble, zs[i]).values.  The products
     D^j z_i, z_i zero-padded to padded_d, are multiplied into the output and
     transformed there in place, so memory is the n * m * padded_d output
-    plus n * padded_d floats of padded input plus the butterfly's 512 KiB
-    tile per worker thread; the multiply is split as fwht_in_place splits,
-    by rows (blocks when n = 1).  ``out``, a C-contiguous float64
-    (n, m * padded_d) array, receives the embeddings in place of a new
-    array, and is returned; zs is checked before ``out`` is written.
+    plus n * padded_d floats of padded input plus a 512 KiB tile per worker
+    thread; large multiplies split like the FWHT, by rows (blocks if n = 1).
+    ``out``, a C-contiguous float64 (n, m * padded_d) array, receives the
+    embeddings in place of a new array and is returned; zs is checked first.
     """
     zs = np.asarray(zs, dtype=np.float64)
     if zs.ndim != 2 or zs.shape[1] != ensemble.dim.logical_d:
@@ -92,16 +91,17 @@ def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarra
     blocks = out.reshape((len(zs),) + ensemble.diagonals.shape)  # a view: out is C-contiguous
     padded = np.zeros((zs.shape[0], ensemble.dim.padded_d), dtype=np.float64)
     padded[:, : ensemble.dim.logical_d] = zs
-    count = len(zs) if len(zs) > 1 else ensemble.m
-    parts = min(hadamard._WORKERS, count, out.nbytes // hadamard._TILE_BYTES)
-    if parts < 2:
+    if out.nbytes < 2 * hadamard._TILE_BYTES:
         np.multiply(ensemble.diagonals, padded[:, None, :], out=blocks)
-    elif len(zs) > 1:
-        hadamard._split(lambda i, a, b: np.multiply(
-            ensemble.diagonals, padded[a:b, None, :], out=blocks[a:b]), count, parts)
     else:
-        hadamard._split(lambda i, a, b: np.multiply(
-            ensemble.diagonals[a:b], padded, out=blocks[0, a:b]), count, parts)
+        count = len(zs) if len(zs) > 1 else ensemble.m
+        parts = min(hadamard._WORKERS, count, out.nbytes // hadamard._TILE_BYTES)
+        if len(zs) > 1:
+            hadamard._split(lambda i, a, b: np.multiply(
+                ensemble.diagonals, padded[a:b, None, :], out=blocks[a:b]), count, parts)
+        else:
+            hadamard._split(lambda i, a, b: np.multiply(
+                ensemble.diagonals[a:b], padded, out=blocks[0, a:b]), count, parts)
     fwht_in_place(blocks)
     return out
 

@@ -37,10 +37,9 @@ def next_pow2(logical_d: int) -> HadamardDim:
     return HadamardDim(logical_d=int(logical_d), padded_d=padded)
 
 
-# One scratch tile per worker: 512 KiB, a quarter of a 2 MiB per-core L2,
-# gives every butterfly add long inner loops and leaves peak RSS flat.
+# One scratch tile per worker, one worker per CPU: 512 KiB, a quarter of a
+# 2 MiB per-core L2, gives every butterfly add long inner loops.
 _TILE_BYTES = 512 << 10
-
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -48,6 +47,7 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 def _pool():
     """Threads that, with the caller, make one per CPU in the affinity mask."""
     from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(_WORKERS - 1)
 
 
@@ -83,31 +83,30 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     runs = buffer.size // c
     most = _TILE_BYTES // (c * buffer.itemsize)
     cols = max(1, runs if runs <= most else most - 1)
+    if buffer.nbytes < 2 * _TILE_BYTES:
+        _transform(buffer, np.empty(c * cols, dtype=buffer.dtype), c, cols)
+        return buffer
     rows = buffer.reshape(-1, n)
     parts = min(_WORKERS, len(rows), buffer.nbytes // _TILE_BYTES)
-    if parts < 2:
-        _transform(rows, np.empty(c * cols, dtype=buffer.dtype), c, cols)
-        return buffer
     tiles = [np.empty(c * cols, dtype=buffer.dtype) for _ in range(parts)]
     _split(lambda i, a, b: _transform(rows[a:b], tiles[i], c, cols), len(rows), parts)
     return buffer
 
 
 def _split(fn, count: int, parts: int) -> None:
-    """fn(i, start, stop) on ``parts`` >= 2 ranges of range(count), range 0 on this
-    thread; waits for all even if one raises.  fn must call no public name."""
+    """fn(i, start, stop) over ``parts`` ranges of range(count); fn calls no public name."""
     bounds = [count * i // parts for i in range(parts + 1)]
     futures = [_pool().submit(fn, i, bounds[i], bounds[i + 1]) for i in range(1, parts)]
     try:
-        fn(0, 0, bounds[1])
+        fn(0, 0, bounds[1])  # on the calling thread
     finally:
-        errors = [future.exception() for future in futures]  # waits for each
+        errors = [future.exception() for future in futures]  # waits, even if range 0 raised
     for error in filter(None, errors):
         raise error
 
 
 def _transform(rows: np.ndarray, scratch: np.ndarray, c: int, cols: int) -> None:
-    """fwht_in_place on the C-contiguous ``rows``, tiles of cols runs in scratch."""
+    """fwht_in_place on the C-contiguous ``rows``, in tiles of cols runs in scratch."""
     runs = rows.reshape(-1, c)
     # numpy would copy the strided halves through up to 192 KiB of iterator
     # buffers, slower than the adds; no operand needs a cast, so go direct.
