@@ -158,12 +158,7 @@ def test_split_embed_batch_matches_per_block_reference(d, m, rows, workers, pin_
         assert_array_equal(np.signbit(batch[i]), np.signbit(row))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_embed_batch_peak_memory_is_output_plus_padded_input(workers, pin_workers):
-    # no full-size temporary beside the output: tracemalloc's peak stays
-    # within the output, the n x padded_d padded copy of the input, one
-    # 512 KiB tile per worker and 512 KiB
-    pin_workers(workers)
+def _embed_batch_peak():
     ens = build_ensemble(50, 256, 0)
     zs = np.stack([streams.gaussian_block(0, streams.VECTOR, i, 50) for i in range(32)])
     embed_batch(ens, zs)  # a split call builds the pool outside the trace
@@ -174,7 +169,20 @@ def test_embed_batch_peak_memory_is_output_plus_padded_input(workers, pin_worker
     finally:
         tracemalloc.stop()
     assert out.nbytes == 32 * 256 * 64 * 8
-    assert peak <= out.nbytes + 32 * 64 * 8 + workers * hadamard._TILE_BYTES + (512 << 10)
+    return peak - out.nbytes - 32 * 64 * 8
+
+
+def test_embed_batch_peak_memory_is_output_plus_padded_input(pin_workers):
+    # no full-size temporary beside the output: tracemalloc's peak stays
+    # within the output, the n x padded_d padded copy of the input and 1 MiB
+    pin_workers(1)
+    assert _embed_batch_peak() <= 1 << 20
+
+
+def test_embed_batch_peak_memory_adds_one_tile_per_worker(pin_workers):
+    # the 4 MiB output is split in two, and each half has its own tile
+    pin_workers(2)
+    assert _embed_batch_peak() <= (1 << 20) + hadamard._TILE_BYTES
 
 
 def test_forked_child_runs_its_own_split(pin_workers):
