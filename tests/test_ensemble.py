@@ -139,12 +139,18 @@ SPLIT_SHAPES = [(200, 1001, 1), (50, 601, 7)]
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("d,m,rows", SPLIT_SHAPES)
-def test_split_embed_batch_matches_per_block_reference(d, m, rows, workers, pin_workers, monkeypatch):
+def test_split_embed_batch_matches_per_block_reference(
+    d, m, rows, workers, pin_workers, monkeypatch
+):
     pin_workers(workers)
     split = []
     real = hadamard._split
-    monkeypatch.setattr(hadamard, "_split", lambda fn, count, parts: (
-        split.append((count, parts)), real(fn, count, parts)))
+
+    def spy(fn, count, parts):
+        split.append((count, parts))
+        real(fn, count, parts)
+
+    monkeypatch.setattr(hadamard, "_split", spy)
     ens = build_ensemble(d, m, 8)
     zs = np.stack([streams.gaussian_block(8, streams.VECTOR, i, d) for i in range(rows)])
     zs[0, 0] = -0.0

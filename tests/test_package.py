@@ -61,7 +61,8 @@ def test_package_import_loads_no_thread_pool():
     probe = _python(
         "-c",
         "import sys, numpy, rhtsketch; print('concurrent.futures' in sys.modules); "
-        "rhtsketch.hadamard._WORKERS = 2; rhtsketch.hadamard.fwht_in_place(numpy.zeros((2, 1 << 16))); "
+        "rhtsketch.hadamard._WORKERS = 2; "
+        "rhtsketch.hadamard.fwht_in_place(numpy.zeros((2, 1 << 16))); "
         "print('concurrent.futures' in sys.modules)",
     )
     assert probe.returncode == 0, probe.stderr
