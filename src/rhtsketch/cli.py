@@ -114,13 +114,10 @@ def _check_range(cfg: RunConfig) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _median_ms(fn, reps: int) -> float:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return 1000.0 * float(np.median(times))
+def _call_ms(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return 1000.0 * (time.perf_counter() - t0)
 
 
 def _run_bench(cfg: RunConfig) -> tuple[dict, list[str], list]:
@@ -144,14 +141,23 @@ def _run_bench(cfg: RunConfig) -> tuple[dict, list[str], list]:
             np.copyto(buf, dv)
             fwht_in_place(buf)
 
-        fwht_ms = _median_ms(run_fwht, reps=9)
-        embed_ms = _median_ms(lambda: embed(ens, z), reps=5)
-        naive_ms = None
-        speedup = None
+        fwht_ms = float(np.median([_call_ms(run_fwht) for _ in range(9)]))
+        naive_ms = speedup = None
         if d <= 4096:
             h = hadamard_sign_matrix(d)
-            naive_ms = _median_ms(lambda: h @ dv, reps=9)
-            speedup = naive_ms / embed_ms
+            # One naive and one embed call per rep, so that a slow spell of
+            # the host or of BLAS weighs on both sides of that rep's ratio.
+            # The matvec streams h through the caches, so an untimed embed
+            # warms them again before the timed one.
+            times = []
+            for _ in range(9):
+                naive = _call_ms(lambda: h @ dv)
+                embed(ens, z)
+                times.append((_call_ms(lambda: embed(ens, z)), naive))
+            embed_ms, naive_ms = np.median(times, axis=0).tolist()
+            speedup = float(np.median([n / e for e, n in times]))
+        else:
+            embed_ms = float(np.median([_call_ms(lambda: embed(ens, z)) for _ in range(5)]))
         rows.append([d, fwht_ms, embed_ms, naive_ms, speedup])
     return {"timings": [dict(zip(header, row)) for row in rows]}, header, rows
 
@@ -347,7 +353,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"rhtsketch: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    fields["format"] = args.format
     cfg = RunConfig(**fields)
     start = time.perf_counter()
     try:

@@ -12,13 +12,6 @@ class CsvFormatError(Exception):
     """The file is not a rectangular numeric CSV."""
 
 
-def _parse_row(row: list[str], line_no: int) -> list[float]:
-    try:
-        return [float(cell) for cell in row]
-    except ValueError as exc:
-        raise CsvFormatError(f"line {line_no}: non-numeric cell ({exc})") from None
-
-
 def read_points_csv(path: str) -> np.ndarray:
     """Load an (n, d) matrix of finite floats from UTF-8 text.
 
@@ -37,10 +30,12 @@ def read_points_csv(path: str) -> np.ndarray:
                 if not row or all(cell.strip() == "" for cell in row):
                     continue
                 try:
-                    values = _parse_row(row, reader.line_num)
-                except CsvFormatError:
+                    values = [float(cell) for cell in row]
+                except ValueError as exc:
                     if rows or header_seen:
-                        raise
+                        raise CsvFormatError(
+                            f"line {reader.line_num}: non-numeric cell ({exc})"
+                        ) from None
                     header_seen = True
                     continue
                 if not all(map(math.isfinite, values)):

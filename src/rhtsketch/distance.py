@@ -22,7 +22,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import streams
-from .ensemble import Embedding, RhtEnsemble, build_ensemble, embed, embed_batch
+from .ensemble import RhtEnsemble, build_ensemble, embed, embed_batch
 from .report import DeviationReport
 
 # Truncation quantile level: the CDF of a standard normal at 3,
@@ -99,16 +99,6 @@ class DistanceEstimator:
         self.chunk_width = 64
         while self.chunk_width > 8 and self.chunk_width * row_bytes > _CHUNK_BYTES:
             self.chunk_width //= 2
-
-    @property
-    def embeddings(self) -> list[Embedding]:
-        """Copies of the stored embeddings, in insertion order (read-only)."""
-        out = []
-        for i in range(self.n):
-            c, r = divmod(i, self.chunk_width)
-            values = self._chunks[c][:, r] if c < self._sealed else self._chunks[c][r]
-            out.append(Embedding(values.copy()))
-        return out
 
 
 @dataclass(frozen=True)
@@ -271,8 +261,8 @@ def adaptive_stress(
 ) -> DeviationReport:
     """Round-by-round worst relative error under adaptively chosen queries.
 
-    ``points`` holds the raw inserted vectors, row i the point behind
-    embeddings[i]; the estimator itself stores only embeddings, and relative
+    ``points`` holds the raw inserted vectors, row i the point of the
+    i-th insert; the estimator itself stores only embeddings, and relative
     error needs ground truth.  Adversaries: "basis" cycles the standard basis
     directions with a growing scale; "greedy-feedback" starts from a random
     unit vector and each round moves toward the point whose distance was
@@ -329,6 +319,4 @@ def adaptive_stress(
         "adversary": adversary,
         "n": est.n,
     }
-    return DeviationReport.from_cases(
-        f"adaptive_stress_{adversary}", report_params, cases, runtime_ms
-    )
+    return DeviationReport(f"adaptive_stress_{adversary}", report_params, cases, runtime_ms)

@@ -112,7 +112,7 @@ def kernel_error_sweep(fmap: FourierFeatureMap, points: list[np.ndarray]) -> Dev
         "histogram_edges": edges.tolist(),
     }
     runtime_ms = int(1000 * (time.perf_counter() - start))
-    return DeviationReport.from_cases("kernel_error_sweep", params, cases, runtime_ms)
+    return DeviationReport("kernel_error_sweep", params, cases, runtime_ms)
 
 
 def default_feature_blocks(eps: float, delta: float, diam: float) -> int:

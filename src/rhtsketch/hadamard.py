@@ -7,6 +7,7 @@ isometry apply their own normalization.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 from dataclasses import dataclass
@@ -96,7 +97,9 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
 def _split(fn, count: int, parts: int) -> None:
     """fn(i, start, stop) over ``parts`` ranges of range(count); fn calls no public name."""
     bounds = [count * i // parts for i in range(parts + 1)]
-    futures = [_pool().submit(fn, i, bounds[i], bounds[i + 1]) for i in range(1, parts)]
+    # pool ranges run in copies of the caller's context, so its np.errstate holds
+    futures = [_pool().submit(contextvars.copy_context().run, fn, i, bounds[i], bounds[i + 1])
+               for i in range(1, parts)]
     try:
         fn(0, 0, bounds[1])  # on the calling thread
     finally:

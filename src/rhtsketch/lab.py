@@ -84,9 +84,7 @@ def lipschitz_deviation(
         "trials": len(suite),
     }
     runtime_ms = int(1000 * (time.perf_counter() - start))
-    return DeviationReport.from_cases(
-        f"lipschitz_deviation[{f.label}]", params, cases, runtime_ms
-    )
+    return DeviationReport(f"lipschitz_deviation[{f.label}]", params, cases, runtime_ms)
 
 
 def default_t_grid() -> np.ndarray:

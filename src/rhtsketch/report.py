@@ -12,33 +12,22 @@ class DeviationReport:
     """A labeled set of per-case deviations with their maximum.
 
     ``params`` records whatever configuration produced the run (d, m, seed,
-    eps, trials, ...).  ``max_deviation`` is always the max over ``per_case``
-    (0.0 for an empty run).
+    eps, trials, ...); the report keeps a copy.  The cases are kept as
+    (str, float) pairs, and ``max_deviation`` is their max (0.0 for an empty
+    run).
     """
 
     label: str
     params: dict
-    per_case: list[tuple[str, float]] = field(default_factory=list)
-    max_deviation: float = 0.0
+    per_case: list[tuple[str, float]]
     runtime_ms: int = 0
+    max_deviation: float = field(init=False)
 
-    @classmethod
-    def from_cases(
-        cls,
-        label: str,
-        params: dict,
-        cases: Sequence[tuple[str, float]],
-        runtime_ms: int = 0,
-    ) -> "DeviationReport":
-        cases = [(str(cid), float(dev)) for cid, dev in cases]
-        worst = max((dev for _, dev in cases), default=0.0)
-        return cls(
-            label=label,
-            params=dict(params),
-            per_case=cases,
-            max_deviation=worst,
-            runtime_ms=int(runtime_ms),
-        )
+    def __post_init__(self) -> None:
+        self.params = dict(self.params)
+        self.per_case = [(str(cid), float(dev)) for cid, dev in self.per_case]
+        self.max_deviation = max((dev for _, dev in self.per_case), default=0.0)
+        self.runtime_ms = int(self.runtime_ms)
 
     def to_dict(self) -> dict:
         return {

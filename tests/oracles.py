@@ -21,6 +21,16 @@ def embed_serial(ens, z):
     return blocks.reshape(-1)
 
 
+def stored_embeddings(est):
+    """A copy of the estimator's n stored embeddings, one row per insert.
+
+    A white-box read of the store's chunks: the first ``_sealed`` hold their
+    transpose (see DistanceEstimator), the rest are point-major.
+    """
+    chunks = [c.T if i < est._sealed else c for i, c in enumerate(est._chunks)]
+    return np.concatenate(chunks or [np.empty((0, est.ensemble.diagonals.size))])[: est.n]
+
+
 def naive_hadamard_apply(x):
     """O(d^2) reference for the transform: multiply by the dense sign matrix."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rhtsketch import cli
+import rhtsketch
+from rhtsketch import cli, hadamard
 from rhtsketch.cli import (
     EXIT_BAD_CSV,
     EXIT_INVARIANT,
@@ -363,3 +368,51 @@ def test_bench_small(capsys, no_env_seed):
         assert row["embed_ms"] > 0.0
         assert row["naive_ms"] is not None
         assert row["speedup_embed_vs_naive"] > 0.0
+
+
+# Each case embeds buffers of at least two 512 KiB tiles, so at 2 and 3
+# workers its embeddings and transforms are split over pool threads.
+WORKER_CASES = {
+    "verify": lambda tmp: ["verify", "--d", "256", "--m", "1085", "--pairs", "20"],
+    "kernel": lambda tmp: ["kernel", "--d", "64", "--n", "20", "--m", "200"],
+    "distest": lambda tmp: [
+        "distest", "--m", "1100", "--stress", "2",
+        "--input", write_csv(tmp / "p.csv", np.random.default_rng(3).normal(size=(10, 128))),
+        "--query", write_csv(tmp / "q.csv", np.random.default_rng(4).normal(size=(2, 128))),
+    ],
+}
+
+
+def _zero_runtime(text):
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_CASES))
+def test_reports_do_not_depend_on_the_worker_count(capsys, tmp_path, no_env_seed, pin_workers,
+                                                   case):
+    argv = WORKER_CASES[case](tmp_path)
+    texts = []
+    for workers in (1, 2, 3):
+        pin_workers(workers)
+        assert run(argv) == EXIT_OK
+        texts.append(_zero_runtime(capsys.readouterr().out))
+        assert hadamard._pool.cache_info().currsize == (workers > 1)  # something split
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the affinity mask holds one CPU")
+def test_verify_on_one_cpu_matches_the_full_mask():
+    # The package's workers follow the affinity mask.  OpenBLAS sizes its own
+    # threads from the mask too, and the sums of its long dot products differ
+    # with that count, so both children run it on one thread.
+    src = str(Path(rhtsketch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-m", "rhtsketch.cli", *WORKER_CASES["verify"](None), "--seed", "1"]
+    one_cpu = {min(os.sched_getaffinity(0))}
+    texts = [
+        subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True,
+                       preexec_fn=preexec).stdout
+        for preexec in (lambda: os.sched_setaffinity(0, one_cpu), None)
+    ]
+    assert _zero_runtime(texts[0]) == _zero_runtime(texts[1])

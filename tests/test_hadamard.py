@@ -191,6 +191,19 @@ def test_split_waits_for_every_range_and_reraises(bad, pin_workers):
     assert sorted(done) == [(0, 3), (3, 6), (6, 10)]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_ranges_keep_the_callers_error_state(workers, pin_workers):
+    # a 2 MiB buffer splits into 2 or 3 ranges, and row 3, whose sums
+    # overflow, lies in the last one, which a pool thread runs
+    pin_workers(workers)
+    buf = np.zeros((4, 65536))
+    buf[3] = 1e308
+    err, bufsize = np.geterr(), np.getbufsize()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        fwht_in_place(buf)
+    assert (np.geterr(), np.getbufsize()) == (err, bufsize)
+
+
 @pytest.mark.parametrize("n", [3, 5, 6, 12, 100])
 def test_fwht_rejects_non_power_of_two(n):
     with pytest.raises(ValueError, match="power of two"):

@@ -32,6 +32,7 @@ REFUSED = "tests/test_distance.py::test_seal_refused_its_scratch_leaves_store_co
 REJECTED = "tests/test_distance.py::test_rejected_insert_leaves_estimator_unchanged"
 SPLIT = "tests/test_ensemble.py::test_split_embed_batch_matches_per_block_reference"
 SPLIT_GOLDEN = "tests/test_golden.py::test_split_embeddings_match_golden_digest_at_each_worker_count"
+ERRSTATE = "tests/test_hadamard.py::test_split_ranges_keep_the_callers_error_state"
 
 # name: (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -60,6 +61,12 @@ MUTANTS = {
         [f"{SPLIT}[200-1001-1-2]", f"{SPLIT}[50-601-7-3]", f"{SPLIT_GOLDEN}[2]",
          f"{SPLIT_GOLDEN}[3]",
          "tests/test_hadamard.py::test_tiled_fwht_bit_identical_at_each_worker_count[2]"],
+    ),
+    "split range runs outside the caller's context": (
+        "src/rhtsketch/hadamard.py",
+        "submit(contextvars.copy_context().run, fn,",
+        "submit(fn,",
+        [f"{ERRSTATE}[2]", f"{ERRSTATE}[3]"],
     ),
     "single-row multiply takes the wrong diagonal slice": (
         "src/rhtsketch/ensemble.py",
