@@ -155,8 +155,9 @@ def test_insert_returns_indices_and_reembeds_identically():
     assert est.n == len(pts)
     idx = insert(est, pts[0])
     assert idx == len(pts)
+    stored = stored_embeddings(est)
     for i, row in enumerate(pts):
-        assert_array_equal(stored_embeddings(est)[i], embed(est.ensemble, row).values)
+        assert_array_equal(stored[i], embed(est.ensemble, row).values)
 
 
 def reference_query(ens, pts, q, params):
