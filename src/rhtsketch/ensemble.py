@@ -68,7 +68,7 @@ def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarra
     D^j z_i, z_i zero-padded to padded_d, are multiplied into the output and
     transformed there in place, so memory is the n * m * padded_d output
     plus n * padded_d floats of padded input plus a 512 KiB tile per worker
-    thread; large multiplies split like the FWHT, by rows (blocks if n = 1).
+    thread; hadamard._split splits the multiply by rows (blocks if n = 1).
     ``out``, a C-contiguous float64 (n, m * padded_d) array, receives the
     embeddings in place of a new array and is returned; zs is checked first.
     """
@@ -91,17 +91,9 @@ def embed_batch(ensemble: RhtEnsemble, zs: np.ndarray, *, out=None) -> np.ndarra
     blocks = out.reshape((len(zs),) + ensemble.diagonals.shape)  # a view: out is C-contiguous
     padded = np.zeros((zs.shape[0], ensemble.dim.padded_d), dtype=np.float64)
     padded[:, : ensemble.dim.logical_d] = zs
-    if out.nbytes < 2 * hadamard._TILE_BYTES:
-        np.multiply(ensemble.diagonals, padded[:, None, :], out=blocks)
-    else:
-        count = len(zs) if len(zs) > 1 else ensemble.m
-        parts = min(hadamard._WORKERS, count, out.nbytes // hadamard._TILE_BYTES)
-        if len(zs) > 1:
-            hadamard._split(lambda i, a, b: np.multiply(
-                ensemble.diagonals, padded[a:b, None, :], out=blocks[a:b]), count, parts)
-        else:
-            hadamard._split(lambda i, a, b: np.multiply(
-                ensemble.diagonals[a:b], padded, out=blocks[0, a:b]), count, parts)
+    lhs, rhs, dst = ((ensemble.diagonals, padded, blocks[0]) if len(zs) == 1
+                     else (padded[:, None, :], ensemble.diagonals, blocks))
+    hadamard._split(lambda a, b: np.multiply(lhs[a:b], rhs, out=dst[a:b]), len(lhs), out.nbytes)
     fwht_in_place(blocks)
     return out
 

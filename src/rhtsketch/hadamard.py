@@ -67,8 +67,8 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     of at most 512 KiB, the rest on the buffer; c = min(n, 256), halved
     while the buffer holds fewer than c / 4 runs.  When the runs span
     several tiles, each holds one run fewer than fits, so that its row
-    stride is not a power of two (such strides share L1 sets).  Buffers of
-    two or more tiles are split by rows over worker threads, one tile each
+    stride is not a power of two (such strides share L1 sets).  Rows are
+    split over worker threads by ``_split``, each range with its own tile
     (workers * 512 KiB), no element's operations changing.  Returns ``buffer``.
     """
     if not isinstance(buffer, np.ndarray):
@@ -84,33 +84,37 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     runs = buffer.size // c
     most = _TILE_BYTES // (c * buffer.itemsize)
     cols = max(1, runs if runs <= most else most - 1)
-    if buffer.nbytes < 2 * _TILE_BYTES:
-        _transform(buffer, np.empty(c * cols, dtype=buffer.dtype), c, cols)
-        return buffer
     rows = buffer.reshape(-1, n)
-    parts = min(_WORKERS, len(rows), buffer.nbytes // _TILE_BYTES)
-    tiles = [np.empty(c * cols, dtype=buffer.dtype) for _ in range(parts)]
-    _split(lambda i, a, b: _transform(rows[a:b], tiles[i], c, cols), len(rows), parts)
+    _split(lambda a, b: _transform(rows[a:b], c, cols), len(rows), buffer.nbytes)
     return buffer
 
 
-def _split(fn, count: int, parts: int) -> None:
-    """fn(i, start, stop) over ``parts`` ranges of range(count); fn calls no public name."""
+def _split(fn, count: int, nbytes: int) -> None:
+    """fn(start, stop) over range(count), work on nbytes; fn calls no public name.
+
+    Under two tiles, fn(0, count) runs here after one compare; from two, one
+    range per worker, at most one per tile, the first on the calling thread.
+    """
+    if nbytes < 2 * _TILE_BYTES:
+        fn(0, count)
+        return
+    parts = min(_WORKERS, count, nbytes // _TILE_BYTES)
     bounds = [count * i // parts for i in range(parts + 1)]
     # pool ranges run in copies of the caller's context, so its np.errstate holds
-    futures = [_pool().submit(contextvars.copy_context().run, fn, i, bounds[i], bounds[i + 1])
+    futures = [_pool().submit(contextvars.copy_context().run, fn, bounds[i], bounds[i + 1])
                for i in range(1, parts)]
     try:
-        fn(0, 0, bounds[1])  # on the calling thread
+        fn(0, bounds[1])  # on the calling thread
     finally:
         errors = [future.exception() for future in futures]  # waits, even if range 0 raised
     for error in filter(None, errors):
         raise error
 
 
-def _transform(rows: np.ndarray, scratch: np.ndarray, c: int, cols: int) -> None:
-    """fwht_in_place on the C-contiguous ``rows``, in tiles of cols runs in scratch."""
+def _transform(rows: np.ndarray, c: int, cols: int) -> None:
+    """fwht_in_place on the C-contiguous ``rows``, in tiles of cols runs of c."""
     runs = rows.reshape(-1, c)
+    scratch = np.empty(c * cols, dtype=rows.dtype)
     # numpy would copy the strided halves through up to 192 KiB of iterator
     # buffers, slower than the adds; no operand needs a cast, so go direct.
     bufsize = np.setbufsize(16)

@@ -146,9 +146,15 @@ def test_split_embed_batch_matches_per_block_reference(
     split = []
     real = hadamard._split
 
-    def spy(fn, count, parts):
-        split.append((count, parts))
-        real(fn, count, parts)
+    def spy(fn, count, nbytes):
+        ranges = []
+        split.append(((count, nbytes), ranges))
+
+        def record(start, stop):
+            ranges.append((start, stop))
+            fn(start, stop)
+
+        real(record, count, nbytes)
 
     monkeypatch.setattr(hadamard, "_split", spy)
     ens = build_ensemble(d, m, 8)
@@ -157,11 +163,35 @@ def test_split_embed_batch_matches_per_block_reference(
     batch = embed_batch(ens, zs)
     parts = min(workers, 3)
     # the multiply over rows, or over blocks for one row, then the transform
-    assert split == [(m if rows == 1 else rows, parts), (rows * m, parts)]
+    counts = [m if rows == 1 else rows, rows * m]
+    assert [call for call, _ in split] == [(count, batch.nbytes) for count in counts]
+    for count, (_, ranges) in zip(counts, split):
+        assert sorted(ranges) == [(count * i // parts, count * (i + 1) // parts)
+                                  for i in range(parts)]
     for i in range(rows):
         row = embed_serial(ens, zs[i])
         assert_array_equal(batch[i], row)
         assert_array_equal(np.signbit(batch[i]), np.signbit(row))
+
+
+@pytest.mark.parametrize("transform", ["fwht_in_place", "embed_batch"])
+def test_split_starts_at_two_tiles(transform, pin_workers, monkeypatch):
+    # 2047 and 2048 rows of 64 floats lie one row either side of two 512 KiB
+    # tiles; the kernel-sweep query's single embedding (d=64, m=2000,
+    # 1,024,000 bytes) lies just under the line
+    def run(rows):
+        if transform == "fwht_in_place":
+            hadamard.fwht_in_place(np.ones((rows, 64)))
+        else:
+            embed_batch(build_ensemble(64, rows, 0), np.ones((1, 64)))
+
+    pin_workers(3)
+    with monkeypatch.context() as patch:
+        patch.delattr(hadamard, "_WORKERS")  # under two tiles: one compare, no count read
+        run(2047)
+    assert hadamard._pool.cache_info().currsize == 0
+    run(2048)
+    assert hadamard._pool.cache_info().currsize == 1
 
 
 def _embed_batch_peak():

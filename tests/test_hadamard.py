@@ -180,14 +180,15 @@ def test_split_waits_for_every_range_and_reraises(bad, pin_workers):
     pin_workers(3)
     done = []
 
-    def part(i, start, stop):
+    def part(start, stop):
+        i = start // 3
         time.sleep(0.05 * i)
         done.append((start, stop))
         if i == bad:
             raise RuntimeError(f"range {i}")
 
     with pytest.raises(RuntimeError, match=f"range {bad}"):
-        hadamard._split(part, 10, 3)
+        hadamard._split(part, 10, 3 * hadamard._TILE_BYTES)
     assert sorted(done) == [(0, 3), (3, 6), (6, 10)]
 
 

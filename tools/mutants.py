@@ -33,6 +33,7 @@ REJECTED = "tests/test_distance.py::test_rejected_insert_leaves_estimator_unchan
 SPLIT = "tests/test_ensemble.py::test_split_embed_batch_matches_per_block_reference"
 SPLIT_GOLDEN = "tests/test_golden.py::test_split_embeddings_match_golden_digest_at_each_worker_count"
 ERRSTATE = "tests/test_hadamard.py::test_split_ranges_keep_the_callers_error_state"
+BOUNDARY = "tests/test_ensemble.py::test_split_starts_at_two_tiles"
 
 # name: (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -68,12 +69,18 @@ MUTANTS = {
         "submit(fn,",
         [f"{ERRSTATE}[2]", f"{ERRSTATE}[3]"],
     ),
-    "single-row multiply takes the wrong diagonal slice": (
+    "split multiply writes every range at the front": (
         "src/rhtsketch/ensemble.py",
-        "ensemble.diagonals[a:b], padded",
-        "ensemble.diagonals[: b - a], padded",
-        [f"{SPLIT}[200-1001-1-2]", f"{SPLIT}[200-1001-1-3]", f"{SPLIT_GOLDEN}[2]",
-         f"{SPLIT_GOLDEN}[3]"],
+        "out=dst[a:b]",
+        "out=dst[: b - a]",
+        [f"{SPLIT}[200-1001-1-2]", f"{SPLIT}[200-1001-1-3]", f"{SPLIT}[50-601-7-2]",
+         f"{SPLIT}[50-601-7-3]", f"{SPLIT_GOLDEN}[2]", f"{SPLIT_GOLDEN}[3]"],
+    ),
+    "split threshold at one tile": (
+        "src/rhtsketch/hadamard.py",
+        "nbytes < 2 * _TILE_BYTES",
+        "nbytes < _TILE_BYTES",
+        [f"{BOUNDARY}[fwht_in_place]", f"{BOUNDARY}[embed_batch]"],
     ),
     "seal reads one chunk ahead": (
         "src/rhtsketch/distance.py",
