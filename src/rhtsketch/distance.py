@@ -84,8 +84,9 @@ class DistanceEstimator:
     Inserts and queries embed their point through embed_batch, a 512 KiB
     tile per worker thread.  A query runs one chunk at a time through a
     reused (C, k) block, so its transient is about 3 * C * k * 8 bytes (the
-    block, the gathered coordinates and the quantile's partition) plus 24
-    bytes per stored point for its outputs, whatever n is.
+    block, the gathered coordinates and, when the quantile's rank is below
+    k, its partition copy) plus 24 bytes per stored point for its outputs,
+    whatever n is.
     """
 
     ensemble: RhtEnsemble
@@ -116,6 +117,12 @@ def quantile(values, alpha: float):
     The 1-based index is clamped to [1, n]; equivalently the smallest v such
     that the fraction of elements <= v is at least alpha.  A float for 1-D
     input, one value per row otherwise (an empty array for zero rows).
+
+    When the index is n (at DEFAULT_ALPHA, every n <= 740) the result is the
+    row maximum, taken without the partition's copy of the input.  Values
+    that compare equal share their bits unless they are zeros of both signs
+    or NaNs, so rows whose maximum is +-0 or NaN are redone by the partition:
+    at every index the result has the bits the partition alone would give.
     """
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if arr.shape[-1] == 0:
@@ -124,8 +131,15 @@ def quantile(values, alpha: float):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     n = arr.shape[-1]
     rank = min(max(math.ceil(alpha * n), 1), n)
-    q = np.partition(arr, rank - 1, axis=-1)[..., rank - 1]
-    return float(q) if arr.ndim == 1 else q.copy()  # not a view pinning the partition
+    if rank == n:
+        rows = arr.reshape(-1, n)
+        q = rows.max(axis=1)
+        redo = (q == 0.0) | np.isnan(q)
+        q[redo] = np.partition(rows[redo], n - 1, axis=1)[:, n - 1]
+        q = q.reshape(arr.shape[:-1])
+    else:
+        q = np.partition(arr, rank - 1, axis=-1)[..., rank - 1].copy()  # not a view pinning it
+    return float(q) if arr.ndim == 1 else q
 
 
 def psi(r, x, out=None):

@@ -4,6 +4,8 @@ None of these are part of the package: each is the plain, slow or analytic
 form of something the package computes another way.
 """
 
+import math
+
 import numpy as np
 
 from rhtsketch.features import features
@@ -29,6 +31,19 @@ def stored_embeddings(est):
     """
     chunks = [c.T if i < est._sealed else c for i, c in enumerate(est._chunks)]
     return np.concatenate(chunks or [np.empty((0, est.ensemble.diagonals.size))])[: est.n]
+
+
+def partition_quantile(values, alpha):
+    """distance.quantile by one partition of every row, whatever the rank.
+
+    Float for 1-D input, one value per row otherwise; alpha and the rows are
+    assumed valid.
+    """
+    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    n = arr.shape[-1]
+    rank = min(max(math.ceil(alpha * n), 1), n)
+    q = np.partition(arr, rank - 1, axis=-1)[..., rank - 1]
+    return float(q) if arr.ndim == 1 else q.copy()
 
 
 def naive_hadamard_apply(x):

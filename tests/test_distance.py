@@ -23,7 +23,7 @@ from rhtsketch.distance import (
 )
 from rhtsketch.ensemble import embed
 
-from oracles import stored_embeddings
+from oracles import partition_quantile, stored_embeddings
 
 
 def small_estimator(d=16, m=64, seed=0, n=6):
@@ -69,6 +69,45 @@ def test_quantile_is_smallest_value_covering_alpha(values, alpha):
     below = arr[arr < v]
     if below.size:
         assert np.mean(arr <= below.max()) < alpha
+
+
+# Row widths with rank n at DEFAULT_ALPHA (up to 740), rank n - 1 (741 to
+# 1481) and lower.
+TIE_WIDTHS = [1, 2, 3, 7, 64, 537, 740, 741, 1001, 1200]
+SIGNED_TIES = ([0.0, -0.0], [np.nan, -np.nan], [0.0, -0.0, np.nan, -np.nan])
+OTHER_TIES = [np.inf, -np.inf, -1e-300, 2.0]
+
+
+def _tie_rows(rng, rows, width):
+    """Normal draws, all <= 0 in every other row, with each row's own share
+    of entries replaced by ties: one of SIGNED_TIES and up to two OTHER_TIES.
+    Equal values whose bits differ are then often the row maximum."""
+    values = rng.normal(size=(rows, width))
+    values[::2] = -np.abs(values[::2])
+    more = rng.choice(OTHER_TIES, size=rng.integers(0, 3), replace=False)
+    pool = np.concatenate([SIGNED_TIES[rng.integers(3)], more])
+    tied = rng.random((rows, width)) < rng.random((rows, 1))
+    values[tied] = pool[rng.integers(0, len(pool), size=tied.sum())]
+    return values
+
+
+@pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, 0.999, 0.5, 0.01])
+def test_quantile_bits_match_partition_reference(alpha):
+    rng = np.random.default_rng(29)
+    for width in TIE_WIDTHS + list(rng.integers(1, 1201, size=6)):
+        block = _tie_rows(rng, 40, width)
+        want = partition_quantile(block, alpha)
+        assert_array_equal(quantile(block, alpha).view(np.int64), want.view(np.int64))
+        for row in block[:8]:
+            got = np.float64(quantile(row, alpha))
+            assert got.view(np.int64) == np.float64(partition_quantile(row, alpha)).view(np.int64)
+
+
+def test_quantile_of_zero_row_is_positive_zero():
+    for width in (1, 537, 1001):
+        zeros = np.zeros(width)
+        assert np.float64(quantile(zeros, DEFAULT_ALPHA)).view(np.int64) == 0
+        assert not quantile(zeros[None, :], DEFAULT_ALPHA).view(np.int64).any()
 
 
 def test_psi():

@@ -54,22 +54,29 @@ TRANSFORM_GOLDEN = {
     "embed_batch_split": "13d29df5c7f07d93ec8d708210d59702d797e42353c25e904b6e7f1e0acb0719",
 }
 
-# (d, m, points per storage chunk): rows of 514 KiB fit 8 to a chunk, rows
-# of 8 KiB fit 64.
-SHAPES = [(256, 257, 8), (16, 64, 64)]
+# (d, m, points per storage chunk, k): rows of 514 KiB fit 8 to a chunk, rows
+# of 8 KiB fit 64.  At k = 101 the truncation quantile is each row's maximum;
+# at k = 1001 its rank is k - 1, so it comes from the partition.
+SHAPES = [(256, 257, 8, 101), (16, 64, 64, 101), (16, 64, 64, 1001)]
 
 GOLDEN = {
-    (256, 257, 8): {
+    (256, 257, 8, 101): {
         "indices": "8d4ac6c491bacb23da0074349d38b5fce2c5612c13865aa9f57e6ee31268bd0d",
         "estimates": "ca88a33725de6ee1ec608edabb6c2382afa4710b423d9dd44bae58a35b8073d7",
         "quantiles": "76766009a64cc255f6b443d6fedf1d63bd80cbf8125271bf815cc7975581c1d6",
         "radii": "f3c09f8dcb6072cd6fa5962b07ac10dc60c7a42133b60f5a9c96ef58dddfb97b",
     },
-    (16, 64, 64): {
+    (16, 64, 64, 101): {
         "indices": "44cbf02508fa79128c260bf379f095afa85be24ef6d90f282b328fbeb7501af4",
         "estimates": "8ca4e0024126e980165932e3ff42aadd106c58cd4b7cf3aef2a4259d79d34b39",
         "quantiles": "4407936005b014d7e1a3fd2ce9c01bcef6161d4607d40d26769c1ec4ec3f2514",
         "radii": "db78cf053aaec4f72fdb703d4019543a9591b5913a16f0fc8f29318293ea4112",
+    },
+    (16, 64, 64, 1001): {
+        "indices": "4baf3d387574fd2c56435af998254d13779012b71ba9c25faed24be8322c33b2",
+        "estimates": "e89b4fb2b3b450c013702a96916f5dfc33080ccff8ab80312830a1c21ecc92ce",
+        "quantiles": "23ebf1dc1be8e0144fce5def7c5a5c9f682b6edad9ab15413b53a20b6c943a2b",
+        "radii": "fca0c18885b187c0076ba7e865adb67a3a581535adaf8375718bdc80a585897d",
     },
 }
 
@@ -127,15 +134,15 @@ def test_split_embeddings_match_golden_digest_at_each_worker_count(workers, pin_
     assert transform_digest("embed_batch_split") == TRANSFORM_GOLDEN["embed_batch_split"]
 
 
-def query_digests(d, m, width):
+def query_digests(d, m, width, k):
     """Digests of every query output, with queries between inserts."""
     est = build_estimator(d, m, 11)
     last = 2 * width + 1
     checkpoints = {0, 1, width - 1, width, width + 1, 2 * width, last}
-    hashes = {name: hashlib.sha256() for name in GOLDEN[(d, m, width)]}
+    hashes = {name: hashlib.sha256() for name in ("indices", "estimates", "quantiles", "radii")}
     for n in range(last + 1):
         if n in checkpoints:
-            params = QueryParams(eps=0.1, delta=0.01, query_seed=500 + n, k=101)
+            params = QueryParams(eps=0.1, delta=0.01, query_seed=500 + n, k=k)
             estimates, details = query(est, _point(2, n, d), params, return_details=True)
             outputs = {
                 "indices": details.indices.astype("<i8"),
@@ -150,8 +157,13 @@ def query_digests(d, m, width):
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"d{s[0]}-m{s[1]}-width{s[2]}")
+def _shape_id(shape):
+    d, m, width, k = shape
+    return f"d{d}-m{m}-width{width}" + (f"-k{k}" if k != 101 else "")
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
 def test_query_outputs_match_golden_digests(shape):
     got = query_digests(*shape)
     moved = sorted(name for name, digest in GOLDEN[shape].items() if got[name] != digest)
-    assert not moved, f"query outputs moved at d, m, width = {shape}: {', '.join(moved)}"
+    assert not moved, f"query outputs moved at d, m, width, k = {shape}: {', '.join(moved)}"

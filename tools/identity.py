@@ -3,12 +3,14 @@
 Usage: python tools/identity.py [REF]   (REF defaults to HEAD)
 
 Extracts ``git archive REF`` into a temporary directory, then runs the same
-ten CLI cases there and in the working tree: ``verify`` at two shapes,
+eleven CLI cases there and in the working tree: ``verify`` at two shapes,
 ``kernel`` on generated and on CSV points, ``distest`` plain, with
-``--stress`` under both adversaries, and at ``--m 1100`` (chunks of 32 points,
-so the first query seals two chunks at once and 6 points stay point-major),
-``lowerbound``, and ``bench``.  Each case is written as JSON and as CSV, to
-stdout and through ``--output``: 40 outputs per tree.  Before the byte
+``--stress`` under both adversaries, at ``--m 1100`` (chunks of 32 points,
+so the first query seals two chunks at once and 6 points stay point-major)
+and at ``--k 537`` (the truncation quantile is each row's maximum; the
+default k, about 8,200, partitions), ``lowerbound``, and ``bench``.  Each
+case is written as JSON and as CSV, to stdout and through ``--output``: 44
+outputs per tree.  Before the byte
 comparison, ``runtime_ms`` is zeroed and ``bench``'s timing values are masked
 (its ``d`` column is kept).  Prints one verdict line and exits 0 when every
 output matches, 1 otherwise.
@@ -41,6 +43,8 @@ CASES = {
     "distest-stress-basis": ["distest", "--input", "{points}", "--query", "{queries}",
                              "--m", "40", "--stress", "6", "--adversary", "basis"],
     "distest-chunks": ["distest", "--input", "{points}", "--query", "{queries}", "--m", "1100"],
+    "distest-top-rank": ["distest", "--input", "{points}", "--query", "{queries}", "--m", "40",
+                         "--k", "537"],
     "lowerbound": ["lowerbound", "--d", "32", "--m", "8", "--trials", "40"],
     "bench": ["bench", "--d", "1024", "--m", "2"],
 }

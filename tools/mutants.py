@@ -34,6 +34,7 @@ SPLIT = "tests/test_ensemble.py::test_split_embed_batch_matches_per_block_refere
 SPLIT_GOLDEN = "tests/test_golden.py::test_split_embeddings_match_golden_digest_at_each_worker_count"
 ERRSTATE = "tests/test_hadamard.py::test_split_ranges_keep_the_callers_error_state"
 BOUNDARY = "tests/test_ensemble.py::test_split_starts_at_two_tiles"
+QUANTILE_BITS = "tests/test_distance.py::test_quantile_bits_match_partition_reference"
 
 # name: (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -105,6 +106,19 @@ MUTANTS = {
         "    if not row:\n        est._chunks.append(chunk)\n"
         "    embed_batch(est.ensemble, z[None, :], out=chunk[row : row + 1])\n",
         [f"{REJECTED}[bad0-finite-64]", f"{REJECTED}[bad0-finite-128]"],
+    ),
+    "top-rank quantile drops the zero fallback": (
+        "src/rhtsketch/distance.py",
+        "redo = (q == 0.0) | np.isnan(q)",
+        "redo = np.isnan(q)",
+        [f"{QUANTILE_BITS}[0.9986501019683699]", f"{QUANTILE_BITS}[0.999]"],
+    ),
+    "top-rank path taken a rank early": (
+        "src/rhtsketch/distance.py",
+        "if rank == n:",
+        "if rank >= n - 1:",
+        [f"{QUERY_GOLDEN}[d16-m64-width64-k1001]", f"{QUANTILE_BITS}[0.9986501019683699]",
+         f"{QUANTILE_BITS}[0.999]", f"{QUANTILE_BITS}[0.5]", f"{QUANTILE_BITS}[0.01]"],
     ),
     "estimates scaled by 1 + 2**-52": (
         "src/rhtsketch/distance.py",
