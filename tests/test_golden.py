@@ -1,4 +1,4 @@
-"""Committed SHA-256 digests of transform, embedding and query outputs.
+"""Committed SHA-256 digests of transform, embedding, query and verify outputs.
 
 The digests cover the raw little-endian bytes of every output, so values and
 sign bits both count.  Inputs come from Philox draws of random() - 0.5, and
@@ -7,7 +7,8 @@ numpy's pairwise mean, so the digests hold on any platform numpy covers.
 Nothing goes through BLAS or a transcendental, apart from the diagonals'
 normal draws: numpy's ziggurat sampler calls exp and log1p on its rare wedge
 and tail draws, and numpy keeps that stream the same across platforms.  A
-change that moves one output names it in the failure.
+change that moves one output names it in the failure.  The ``verify``
+report is the exception: see VERIFY_GOLDEN.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from rhtsketch import streams
+from rhtsketch.cli import run
 from rhtsketch.distance import QueryParams, build_estimator, insert, query
 from rhtsketch.ensemble import build_ensemble, embed, embed_batch
 from rhtsketch.hadamard import fwht_in_place
@@ -167,3 +169,19 @@ def test_query_outputs_match_golden_digests(shape):
     got = query_digests(*shape)
     moved = sorted(name for name, digest in GOLDEN[shape].items() if got[name] != digest)
     assert not moved, f"query outputs moved at d, m, width, k = {shape}: {', '.join(moved)}"
+
+
+VERIFY_ARGV = ["verify", "--d", "100", "--m", "64", "--n-random", "4", "--pairs", "20",
+               "--seed", "7"]
+
+# The JSON report of VERIFY_ARGV without its two runtime_ms lines.  Unlike
+# the digests above it goes through cos, scipy's ndtr and BLAS norms; it read
+# the same on one CPU and on two, with OPENBLAS_NUM_THREADS unset.
+VERIFY_GOLDEN = "841fb691eee4ce73555121e37685341622f85c68d4affc6bdd7b503a65076712"
+
+
+def test_verify_report_matches_golden_digest(capsys):
+    assert run(VERIFY_ARGV) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    kept = "".join(line for line in lines if '"runtime_ms"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_GOLDEN, "verify report moved"
