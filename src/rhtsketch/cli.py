@@ -17,6 +17,7 @@ import numpy as np
 from . import streams
 from .csvio import CsvFormatError, read_points_csv
 from .distance import (
+    ADVERSARIES,
     QueryParams,
     adaptive_stress,
     build_estimator,
@@ -27,12 +28,10 @@ from .distance import (
 )
 from .ensemble import build_ensemble, distortion_check, embed
 from .features import build_feature_map, default_feature_blocks, kernel_error_sweep
-from .gaussian import cosine_functional
 from .hadamard import fwht_in_place, hadamard_sign_matrix, next_pow2
 from .lab import (
     ball_points,
     basis_max_experiment,
-    default_t_grid,
     ecdf_deviation,
     gaussian_baseline_max,
     lipschitz_deviation,
@@ -165,11 +164,10 @@ def _run_bench(cfg: RunConfig) -> tuple[dict, list[str], list]:
 def _run_verify(cfg: RunConfig) -> tuple[dict, list[str], list]:
     ensemble = build_ensemble(cfg.d, cfg.m, cfg.seed)
     suite = test_vector_suite(cfg.d, cfg.n_random, cfg.seed)
-    lip = lipschitz_deviation(ensemble, cosine_functional(), suite)
-    grid = default_t_grid()
+    lip = lipschitz_deviation(ensemble, suite)
     by_label = dict(suite)
-    ecdf_flat = ecdf_deviation(ensemble, by_label["flat"], grid)
-    ecdf_basis = ecdf_deviation(ensemble, by_label["basis"], grid)
+    ecdf_flat = ecdf_deviation(ensemble, by_label["flat"])
+    ecdf_basis = ecdf_deviation(ensemble, by_label["basis"])
     pairs = [
         (
             streams.unit_vector(cfg.seed, _PAIR_STREAM_BASE + 2 * p, cfg.d),
@@ -316,8 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--stress", type=int, default=0, dest="stress_rounds",
                    help="adaptive stress rounds after the plain queries")
-    p.add_argument("--adversary", choices=("basis", "greedy-feedback"),
-                   default="greedy-feedback")
+    p.add_argument("--adversary", choices=ADVERSARIES, default="greedy-feedback")
     add_common(p)
 
     p = sub.add_parser("lowerbound", help="basis-max experiment and Gaussian baseline")

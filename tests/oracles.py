@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from rhtsketch.features import features
-from rhtsketch.gaussian import GH_DEGREE, ScalarFunctional, gauss_hermite_expectation, std_normal_cdf
+from rhtsketch.gaussian import GH_DEGREE, gaussian_expectation, std_normal_cdf
 from rhtsketch.hadamard import fwht_in_place, hadamard_sign_matrix
 
 
@@ -57,44 +57,12 @@ def approx_kernel(fmap, x, y):
     return float(np.dot(features(fmap, x), features(fmap, y)))
 
 
-def quadrature_drift(f, sigma):
-    """|GH at degree 127 - GH at degree 254|, the degree-doubling guard."""
+def quadrature_drift(sigma):
+    """|GH at degree 127 - GH at degree 254| for E cos(N(0, sigma^2)), the
+    degree-doubling guard."""
     nodes, weights = np.polynomial.hermite.hermgauss(2 * GH_DEGREE)
-    hi = float(weights @ f.eval(np.sqrt(2.0) * sigma * nodes) / np.sqrt(np.pi))
-    return abs(hi - gauss_hermite_expectation(f, sigma))
-
-
-def identity_functional():
-    return ScalarFunctional(
-        label="identity",
-        eval=lambda x: np.asarray(x, dtype=np.float64) + 0.0,
-        lipschitz_constant=1.0,
-    )
-
-
-def abs_functional():
-    """|x|."""
-    return ScalarFunctional(label="abs", eval=np.abs, lipschitz_constant=1.0, kinks=(0.0,))
-
-
-def truncated_abs_functional(r):
-    """min(|x|, r), the clipped magnitude used by the distance estimator."""
-    if not np.isfinite(r) or r < 0:
-        raise ValueError(f"truncation radius must be finite and >= 0, got {r}")
-    return ScalarFunctional(
-        label=f"truncated_abs[{r:g}]",
-        eval=lambda x, _r=r: np.minimum(np.abs(x), _r),
-        lipschitz_constant=1.0,
-        kinks=(-r, 0.0, r) if r > 0 else (0.0,),
-    )
-
-
-# E[f(N(0, sigma^2))] in closed form, by functional label.
-CLOSED_FORMS = {
-    "cos": lambda sigma: float(np.exp(-0.5 * sigma * sigma)),
-    "identity": lambda sigma: 0.0,
-    "abs": lambda sigma: float(sigma * np.sqrt(2.0 / np.pi)),
-}
+    hi = float(weights @ np.cos(np.sqrt(2.0) * sigma * nodes) / np.sqrt(np.pi))
+    return abs(hi - gaussian_expectation(sigma))
 
 
 def truncated_abs_mean(r, sigma):

@@ -33,12 +33,11 @@ from rhtsketch.features import (
     kerdec_decompose,
     kernel_error_sweep,
 )
-from rhtsketch.gaussian import cosine_functional, gaussian_expectation
+from rhtsketch.gaussian import gaussian_expectation
 from rhtsketch.hadamard import fwht_in_place
 from rhtsketch.lab import (
     ball_points,
     basis_max_experiment,
-    default_t_grid,
     ecdf_deviation,
     gaussian_baseline_max,
 )
@@ -114,10 +113,9 @@ def test_criterion_2_embedding_distortion(capsys):
 
 
 def test_criterion_3_cosine_expectation(capsys):
-    f = cosine_functional()
     worst = 0.0
     for sigma in (0.0, 0.5, 1.0, 2.0, 4.0):
-        gap = abs(gaussian_expectation(f, sigma) - math.exp(-0.5 * sigma * sigma))
+        gap = abs(gaussian_expectation(sigma) - math.exp(-0.5 * sigma * sigma))
         worst = max(worst, gap)
     ok = worst <= 1e-8
     report(
@@ -263,16 +261,15 @@ def test_criterion_6_basis_max_and_baseline(capsys):
 def test_criterion_7_ecdf_concentration(capsys):
     budget = 20.0  # seconds
     start = time.perf_counter()
-    grid = default_t_grid()
     d_flat, m_flat = 256, 1024
     assert m_flat * d_flat == 2**18
     flat = np.full(d_flat, 1.0 / math.sqrt(d_flat))
-    sup_flat = ecdf_deviation(build_ensemble(d_flat, m_flat, SEED), flat, grid)
+    sup_flat = ecdf_deviation(build_ensemble(d_flat, m_flat, SEED), flat)
 
     d_basis, m_basis = 64, 4096
     e1 = np.zeros(d_basis)
     e1[0] = 1.0
-    sup_basis = ecdf_deviation(build_ensemble(d_basis, m_basis, SEED), e1, grid)
+    sup_basis = ecdf_deviation(build_ensemble(d_basis, m_basis, SEED), e1)
     elapsed = time.perf_counter() - start
     ok = sup_flat <= 0.01 and sup_basis <= 0.03 and elapsed < budget
     report(

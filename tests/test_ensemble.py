@@ -67,6 +67,14 @@ def test_embed_basis_vector_gives_constant_blocks():
         assert_array_equal(emb.values.reshape(5, 8)[j], np.full(8, ens.diagonals[j, 0]))
 
 
+def test_basis_vector_embedding_mean_is_first_diagonal_mean():
+    # the mean over all entries of h(e_1) collapses the constant blocks to
+    # the mean first-diagonal entry
+    ens = build_ensemble(16, 32, 4)
+    e1 = np.zeros(16); e1[0] = 1.0
+    assert_allclose(np.mean(embed(ens, e1).values), np.mean(ens.diagonals[:, 0]), rtol=1e-12)
+
+
 def test_embed_matches_naive_oracle():
     # d = 64, m = 64 flat vector: block j is H (D^j z) entrywise
     d, m = 64, 64

@@ -3,18 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rhtsketch.ensemble import build_ensemble
-from rhtsketch.gaussian import ScalarFunctional, cosine_functional
 from rhtsketch.lab import (
     ball_points,
     basis_max_experiment,
-    default_t_grid,
     ecdf_deviation,
     gaussian_baseline_max,
     lipschitz_deviation,
     test_vector_suite,
 )
-
-from oracles import abs_functional, identity_functional
 
 # the factory is not a test despite its name
 test_vector_suite.__test__ = False
@@ -44,84 +40,37 @@ def test_suite_rejects_bad_dims():
         test_vector_suite(8, -1, 0)
 
 
-def test_lipschitz_identity_at_basis_vector_closed_form():
-    # identity functional at e_1: the d-average collapses block constancy
-    # to the mean first-diagonal entry
-    ens = build_ensemble(16, 32, 4)
-    e1 = np.zeros(16); e1[0] = 1.0
-    suite = (("basis", e1),)
-    rep = lipschitz_deviation(ens, identity_functional(), suite)
-    expected = abs(float(np.mean(ens.diagonals[:, 0])))
-    assert_allclose(rep.per_case[0][1], expected, rtol=1e-12)
-
-
 def test_lipschitz_zero_vector_gives_zero_deviation():
     ens = build_ensemble(8, 4, 1)
     suite = (("zero", np.zeros(8)),)
-    rep = lipschitz_deviation(ens, cosine_functional(), suite)
+    rep = lipschitz_deviation(ens, suite)
     assert rep.per_case[0][1] == 0.0
-
-
-def test_lipschitz_invariant_under_constant_shift():
-    ens = build_ensemble(32, 64, 5)
-    suite = test_vector_suite(32, 2, 5)
-    base = lipschitz_deviation(ens, abs_functional(), suite)
-    shifted = ScalarFunctional(
-        label="abs+5",
-        eval=lambda x: np.abs(x) + 5.0,
-        lipschitz_constant=1.0,
-        kinks=(0.0,),
-    )
-    moved = lipschitz_deviation(ens, shifted, suite)
-    for (_, a), (_, b) in zip(base.per_case, moved.per_case):
-        assert abs(a - b) <= 1e-12
-
-
-def test_lipschitz_invariant_under_positive_scaling():
-    ens = build_ensemble(32, 64, 6)
-    suite = test_vector_suite(32, 2, 6)
-    base = lipschitz_deviation(ens, cosine_functional(), suite)
-    scaled = ScalarFunctional(
-        label="3cos",
-        eval=lambda x: 3.0 * np.cos(x),
-        lipschitz_constant=3.0,
-    )
-    moved = lipschitz_deviation(ens, scaled, suite)
-    for (_, a), (_, b) in zip(base.per_case, moved.per_case):
-        assert abs(a - b) <= 1e-12
 
 
 def test_lipschitz_report_shape():
     ens = build_ensemble(16, 8, 7)
     suite = test_vector_suite(16, 1, 7)
-    rep = lipschitz_deviation(ens, cosine_functional(), suite)
+    rep = lipschitz_deviation(ens, suite)
     assert rep.label == "lipschitz_deviation[cos]"
     assert len(rep.per_case) == len(suite)
     assert rep.max_deviation == max(dev for _, dev in rep.per_case)
     with pytest.raises(ValueError):
-        lipschitz_deviation(ens, cosine_functional(), ())
+        lipschitz_deviation(ens, ())
 
 
-def test_ecdf_deviation_bounds_and_grid_validation():
+def test_ecdf_deviation_bounds_and_unit_norm_check():
     ens = build_ensemble(64, 16, 8)
     flat = np.ones(64) / 8.0
-    grid = default_t_grid()
-    sup = ecdf_deviation(ens, flat, grid)
+    sup = ecdf_deviation(ens, flat)
     assert 0.0 <= sup <= 1.0
-    with pytest.raises(ValueError, match="sorted"):
-        ecdf_deviation(ens, flat, grid[::-1])
-    with pytest.raises(ValueError, match="span"):
-        ecdf_deviation(ens, flat, np.linspace(-4, 5, 1001))
-    with pytest.raises(ValueError, match="span"):
-        ecdf_deviation(ens, flat, np.linspace(-5, 5, 101))
     with pytest.raises(ValueError, match="unit"):
-        ecdf_deviation(ens, 2.0 * flat, grid)
+        ecdf_deviation(ens, 2.0 * flat)
 
 
 def test_ecdf_single_sample_is_degenerate():
     # one-point ECDF: a unit jump somewhere, so the sup gap is near 1/2
     ens = build_ensemble(1, 1, 0)
-    sup = ecdf_deviation(ens, np.ones(1), default_t_grid())
+    sup = ecdf_deviation(ens, np.ones(1))
     assert sup >= 0.45
 
 

@@ -35,6 +35,7 @@ SPLIT_GOLDEN = "tests/test_golden.py::test_split_embeddings_match_golden_digest_
 ERRSTATE = "tests/test_hadamard.py::test_split_ranges_keep_the_callers_error_state"
 BOUNDARY = "tests/test_ensemble.py::test_split_starts_at_two_tiles"
 QUANTILE_BITS = "tests/test_distance.py::test_quantile_bits_match_partition_reference"
+COS_CLOSED_FORM = "tests/test_gaussian.py::test_quadrature_agrees_with_closed_form"
 
 # name: (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -125,6 +126,19 @@ MUTANTS = {
         "    estimates *= _SQRT_HALF_PI\n",
         "    estimates *= _SQRT_HALF_PI * (1 + 2**-52)\n",
         [f"{QUERY_GOLDEN}[d256-m257-width8]", f"{QUERY_GOLDEN}[d16-m64-width64]"],
+    ),
+    "ECDF grid at half density": (
+        "src/rhtsketch/lab.py",
+        "np.linspace(-5.0, 5.0, 1001)",
+        "np.linspace(-5.0, 5.0, 501)",
+        ["tests/test_golden.py::test_verify_report_matches_golden_digest"],
+    ),
+    "cos expectation drops the sqrt(2) node scale": (
+        "src/rhtsketch/gaussian.py",
+        "np.cos(_SQRT_2 * sigma * nodes)",
+        "np.cos(sigma * nodes)",
+        ["tests/test_acceptance.py::test_criterion_3_cosine_expectation",
+         *(f"{COS_CLOSED_FORM}[cos-{sigma}]" for sigma in ("0.1", "0.5", "1.0", "2.0", "4.0"))],
     ),
     "cli imported by the package": (
         "src/rhtsketch/__init__.py",
