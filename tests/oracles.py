@@ -58,8 +58,7 @@ def approx_kernel(fmap, x, y):
 
 
 def quadrature_drift(sigma):
-    """|GH at degree 127 - GH at degree 254| for E cos(N(0, sigma^2)), the
-    degree-doubling guard."""
+    """The degree-doubling guard: |GH at degree 127 - GH at degree 254| for E cos(N(0, sigma^2))."""
     nodes, weights = np.polynomial.hermite.hermgauss(2 * GH_DEGREE)
     hi = float(weights @ np.cos(np.sqrt(2.0) * sigma * nodes) / np.sqrt(np.pi))
     return abs(hi - gaussian_expectation(sigma))

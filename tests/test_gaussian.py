@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate
 
 from rhtsketch.gaussian import _gh_nodes, gaussian_expectation, rbf_kernel, std_normal_cdf
 
@@ -71,8 +72,6 @@ def test_degree_doubling_guard():
 @pytest.mark.parametrize("eps", [0.1, 0.2])
 def test_truncation_bound(eps):
     # sqrt(pi/2) * E psi_{r*}(Z) >= 1 - eps/8 at r* = 4 sqrt(ln 1/eps), Z std normal
-    from scipy import integrate
-
     r_star = 4.0 * np.sqrt(np.log(1.0 / eps))
     val = truncated_abs_mean(r_star, 1.0)
     # E min(|Z|, r) = 2 * integral over [0, inf) of min(u, r) * pdf(u), split at the kink
